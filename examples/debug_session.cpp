@@ -9,6 +9,9 @@
 //   4. walk the guest's mailbox and disassemble around the stop,
 //   5. single-step a few instructions,
 //   6. resume and confirm the stream continued without corruption.
+//
+// Exits non-zero on any failed command or unexpected stop, so it doubles
+// as an end-to-end check (ctest runs it as example_debug_session).
 #include <cstdio>
 
 #include "common/units.h"
@@ -51,13 +54,17 @@ int main() {
 
   const u32 isr_nic = dbg.lookup("isr_nic").value();
   std::printf("[host] setting breakpoint at isr_nic (%08x)\n", isr_nic);
-  dbg.set_breakpoint(isr_nic);
+  if (!dbg.set_breakpoint(isr_nic)) return 1;
 
   std::printf("[host] continue...\n");
   if (dbg.continue_and_wait(seconds_to_cycles(0.1)) != StopKind::kBreak) {
     return 1;
   }
   regs = *dbg.read_registers();
+  if (regs.pc != isr_nic) {
+    std::printf("[host] stopped at %08x, not at the breakpoint\n", regs.pc);
+    return 1;
+  }
   std::printf("[host] hit breakpoint at %s while the guest was mid-I/O\n",
               dbg.describe(regs.pc).c_str());
 
@@ -87,9 +94,14 @@ int main() {
   }
 
   std::printf("[host] clearing breakpoint, resuming for 50 ms\n");
-  dbg.clear_breakpoint(isr_nic);
-  dbg.continue_and_wait(seconds_to_cycles(0.002));  // returns by timeout
-  platform.machine().run_for(seconds_to_cycles(0.05));
+  if (!dbg.clear_breakpoint(isr_nic)) return 1;
+  // With the breakpoint gone, the guest just runs: any stop is a failure.
+  if (dbg.continue_and_wait(seconds_to_cycles(0.002)) != StopKind::kTimeout ||
+      platform.machine().run_for(seconds_to_cycles(0.05)) !=
+          hw::Machine::StopReason::kBudget) {
+    std::printf("[host] unexpected stop after the resume\n");
+    return 1;
+  }
 
   const auto& sink = platform.sink();
   std::printf("[host] stream after the session: frames=%llu gaps=%llu "

@@ -1,8 +1,11 @@
 #include "cpu/block_cache.h"
 
+#include <algorithm>
+
 namespace vdbg::cpu {
 
-CachedBlock* BlockCache::build(PAddr pa, const PhysMem& mem, u64& builds,
+CachedBlock* BlockCache::build(PAddr pa, const PhysMem& mem,
+                               std::span<const PAddr> stops, u64& builds,
                                u64& invals) {
   CachedBlock& slot = slot_for(pa);
   const u64 version = mem.page_version(pa >> kPageBits);
@@ -18,6 +21,7 @@ CachedBlock* BlockCache::build(PAddr pa, const PhysMem& mem, u64& builds,
   PAddr p = pa;
   while (n < kMaxBlockInstrs && p + kInstrBytes <= page_end &&
          mem.contains(p, kInstrBytes)) {
+    if (std::find(stops.begin(), stops.end(), p) != stops.end()) break;
     u8 bytes[kInstrBytes];
     mem.read_block(p, bytes);
     if (!opcode_valid(bytes[0])) break;

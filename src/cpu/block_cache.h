@@ -9,20 +9,23 @@
 //
 // Indexing is PHYSICAL and content validity is guarded by PhysMem's
 // per-page write-version counters:
-//  * guest stores, DMA, monitor emulation and debugger pokes all bump the
-//    version of the pages they touch, so a block decoded from a page that
-//    has since been written never hits (self-modifying code, breakpoint
-//    patching);
+//  * guest stores, DMA, monitor emulation and debugger memory writes all
+//    bump the version of the pages they touch, so a block decoded from a
+//    page that has since been written never hits (self-modifying code);
 //  * TLB events (flush_tlb / invlpg / CR0-CR3 writes) need no content
 //    invalidation at all: the dispatcher re-translates pc at every block
 //    entry and revalidates the fetch translation between the instructions
 //    of a block, so a remapped pc simply resolves to a different physical
-//    block. Monitors that patch guest code may additionally force-drop
-//    overlapping blocks via invalidate_range() (belt and braces; the
-//    version check already covers those writes).
+//    block.
+// The monitor's armed breakpoints (Cpu::arm_breakpoint) shape blocks
+// without touching memory: decoding stops before an armed address, so one
+// is only ever a block head, which build() refuses — the dispatcher then
+// takes the slow path that raises the breakpoint. Arming or disarming drops
+// the page's blocks via invalidate_range() so they are decoded again.
 #pragma once
 
 #include <array>
+#include <span>
 #include <vector>
 
 #include "common/types.h"
@@ -72,13 +75,15 @@ class BlockCache {
     return nullptr;
   }
 
-  /// (Re)decodes the block starting at physical `pa` into its slot.
+  /// (Re)decodes the block starting at physical `pa` into its slot,
+  /// ending before any address in `stops` (the armed breakpoints).
   /// Counters: `builds` on every decode, `invals` when a stale block (code
   /// page written since decode) was dropped on the way. Returns nullptr
-  /// when no instruction can be decoded at `pa` (invalid head opcode or
-  /// out-of-range fetch); the caller must fall back to the slow path,
-  /// which raises the right fault.
-  CachedBlock* build(PAddr pa, const PhysMem& mem, u64& builds, u64& invals);
+  /// when no instruction can be decoded at `pa` (invalid head opcode,
+  /// out-of-range fetch, or `pa` itself in `stops`); the caller must fall
+  /// back to the slow path, which raises the right event.
+  CachedBlock* build(PAddr pa, const PhysMem& mem,
+                     std::span<const PAddr> stops, u64& builds, u64& invals);
 
   /// Drops every cached block overlapping physical [begin, begin+len).
   void invalidate_range(PAddr begin, u32 len, u64& invals);

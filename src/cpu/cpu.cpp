@@ -1,6 +1,7 @@
 #include "cpu/cpu.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace vdbg::cpu {
 
@@ -108,8 +109,6 @@ RunExit Cpu::step_one() {
 
 void Cpu::step() {
   const u32 pc0 = st_.pc;
-  const bool tf_pending = st_.trap_flag();
-
   if (pc0 & 0x7) {
     raise(Fault::gp(1), pc0);
     return;
@@ -120,10 +119,17 @@ void Cpu::step() {
     raise(tr.fault, pc0);
     return;
   }
-  step_at(tr.pa, pc0, tf_pending);
+  step_at(tr.pa, pc0);
 }
 
-void Cpu::step_at(PAddr pa, u32 pc0, bool tf_pending) {
+void Cpu::step_at(PAddr pa, u32 pc0) {
+  // An armed breakpoint fires before the fetch: the guest is charged
+  // nothing and retires nothing, and a resume from the stop passes it once.
+  if (pc0 != std::exchange(resume_pc_, kNoResume) && breakpoint_armed(pa)) {
+    raise(Fault::monitor(kVecBreakpoint), pc0);
+    return;
+  }
+  const bool tf_pending = st_.trap_flag();
   u8 bytes[kInstrBytes];
   mem_.read_block(pa, bytes);
   cycles_ += costs_.mem;
@@ -146,17 +152,50 @@ void Cpu::step_at(PAddr pa, u32 pc0, bool tf_pending) {
     raise(er.fault, resume);
     return;
   }
-  if (tf_pending && !halted_) {
-    // Single-step trap: reported after the instruction completes, with the
-    // resume point at the next instruction.
-    raise(Fault::db(), st_.pc);
+  if (halted_) return;
+  // Single-step traps: reported after the instruction completes, with the
+  // resume point at the next instruction. The guest's own TF trap goes
+  // first; a monitor step request then stops wherever that left the guest.
+  if (tf_pending) raise(Fault::db(), st_.pc);
+  if (debug_step_) {
+    debug_step_ = false;
+    raise(Fault::monitor(kVecDebug), st_.pc);
   }
 }
 
+void Cpu::arm_breakpoint(PAddr pa) {
+  if (breakpoint_armed(pa)) return;
+  breakpoints_.push_back(pa);
+  invalidate_code_page(pa);
+}
+
+void Cpu::disarm_breakpoint(PAddr pa) {
+  const auto it = std::find(breakpoints_.begin(), breakpoints_.end(), pa);
+  if (it == breakpoints_.end()) return;
+  breakpoints_.erase(it);
+  invalidate_code_page(pa);
+}
+
+bool Cpu::breakpoint_armed(PAddr pa) const {
+  return std::find(breakpoints_.begin(), breakpoints_.end(), pa) !=
+         breakpoints_.end();
+}
+
+void Cpu::invalidate_code_page(PAddr pa) {
+  // Arming must split any block spanning pa (blocks are built to end before
+  // an armed address, which is then only ever reached at a block head and
+  // diverted to step_at); disarming lets the truncated blocks grow back.
+  const PAddr page = pa & ~PAddr{kPageMask};
+  bcache_.invalidate_range(page, kPageSize, stats_.block_invalidations);
+  sbcache_.invalidate_range(page, kPageSize, sbc_stats_);
+}
+
 void Cpu::run_cached(Cycles target) {
-  // Single-stepping decodes fresh: a #DB boundary after every instruction
-  // makes block dispatch pointless, and the slow path is the reference.
-  if (st_.trap_flag()) {
+  // Single-stepping (guest TF or a monitor step request) decodes fresh: a
+  // #DB boundary after every instruction makes block dispatch pointless,
+  // and the slow path is the reference. A pending resume-over-breakpoint
+  // must be consumed by exactly the next instruction, so it goes there too.
+  if (st_.trap_flag() || debug_step_ || resume_pc_ != kNoResume) {
     step();
     return;
   }
@@ -210,12 +249,12 @@ void Cpu::run_cached(Cycles target) {
     if (!sb) {
       blk = bcache_.lookup(pa, version, stats_.block_hits);
       if (!blk) {
-        blk = bcache_.build(pa, mem_, stats_.block_builds,
+        blk = bcache_.build(pa, mem_, breakpoints_, stats_.block_builds,
                             stats_.block_invalidations);
         if (!blk) {
-          // Undecodable head (invalid opcode / truncated fetch): the slow
-          // tail raises the architecturally correct fault.
-          step_at(pa, pc0, /*tf_pending=*/false);
+          // Undecodable head (invalid opcode / truncated fetch) or an armed
+          // breakpoint: the slow tail raises the right event.
+          step_at(pa, pc0);
           return;
         }
       }

@@ -1,11 +1,13 @@
 // The VX32 interpreter: fetch/decode/execute with a predecoded basic-block
 // fast path (see block_cache.h and DESIGN.md "Interpreter fast path"), trap
 // and interrupt delivery, the trap hook a VMM installs to intercept events,
-// and the I/O permission bitmap that implements device passthrough.
+// the monitor's debug state (breakpoints and single step kept outside guest
+// state), and the I/O permission bitmap that implements device passthrough.
 #pragma once
 
 #include <array>
 #include <span>
+#include <vector>
 
 #include "common/metrics.h"
 #include "common/snapshot.h"
@@ -146,19 +148,32 @@ class Cpu {
   bool superblocks_enabled() const { return superblocks_enabled_; }
   const SbcStats& sbc_stats() const { return sbc_stats_; }
 
-  /// Explicit invalidation hooks for monitors/debuggers that patch guest
-  /// code (PhysMem's page-version counters already catch every store; these
-  /// are the belt-and-braces interface named in the debug stub). Both tiers
-  /// drop together: a patched range must also sever every superblock chain
-  /// through it (tb_phys_invalidate analog).
+  /// Drops both cached tiers, severing every superblock chain
+  /// (tb_phys_invalidate analog). Stores never need this — PhysMem's page
+  /// versions already catch every one; restore uses it to shed derived
+  /// state.
   void invalidate_block_cache() {
     bcache_.invalidate_all(stats_.block_invalidations);
     sbcache_.invalidate_all(sbc_stats_);
   }
-  void invalidate_block_cache_range(PAddr pa, u32 len) {
-    bcache_.invalidate_range(pa, len, stats_.block_invalidations);
-    sbcache_.invalidate_range(pa, len, sbc_stats_);
-  }
+
+  // --- monitor debug state ---
+  /// Debugger state a monitor forces on the guest without touching guest
+  /// memory or the guest PSW: the role DR0-DR3 (resumed with EFLAGS.RF)
+  /// and the monitor trap flag play for a ring-0 monitor. Reaching an
+  /// armed physical address raises #BP before the instruction is fetched;
+  /// a step request raises #DB once the next instruction completes. Both
+  /// arrive at the trap hook as EventKind::kMonitor, so they need one
+  /// installed. This is host state like the kill switches: snapshots never
+  /// carry it and restore leaves it alone. With nothing armed or requested
+  /// every tier runs exactly as without a debugger.
+  void arm_breakpoint(PAddr pa);
+  void disarm_breakpoint(PAddr pa);
+  void set_debug_step(bool on) { debug_step_ = on; }
+  /// One-shot: the next instruction runs even if it is an armed breakpoint
+  /// at the current pc, so resuming from a stop does not re-report it.
+  /// Consumed by whichever instruction executes next.
+  void resume_over_breakpoint() { resume_pc_ = st_.pc; }
 
   const CpuStats& stats() const { return stats_; }
 
@@ -240,8 +255,8 @@ class Cpu {
  private:
   void step();
   /// Fetch-decode-execute tail shared by both paths, entered after pc has
-  /// been translated to `pa`.
-  void step_at(PAddr pa, u32 pc0, bool tf_pending);
+  /// been translated to `pa`. The only place monitor debug events fire.
+  void step_at(PAddr pa, u32 pc0);
   /// Fast path: one translate at block entry, then dispatch the decoded
   /// block with per-instruction budget/content/translation revalidation;
   /// chains across pure-branch block tails without re-entering run().
@@ -294,6 +309,11 @@ class Cpu {
   void set_flags_addsub(u32 a, u32 b, u32 r, bool is_sub);
   void set_flags_logic(u32 r);
 
+  bool breakpoint_armed(PAddr pa) const;
+  /// Drops both tiers' blocks on `pa`'s page, so they are decoded again
+  /// around a changed breakpoint set.
+  void invalidate_code_page(PAddr pa);
+
   PhysMem& mem_;
   IoBus& io_;
   IntrLine* intr_;  // snap:skip(wiring; the machine's interrupt line)
@@ -318,6 +338,12 @@ class Cpu {
   bool halted_ = false;
   bool shutdown_ = false;
   bool stop_requested_ = false;  // snap:skip(transient; reset by restore)
+  /// Monitor debug state (see arm_breakpoint); a handful of entries at most.
+  std::vector<PAddr> breakpoints_;  // snap:skip(host debug state, DR0-DR3)
+  bool debug_step_ = false;  // snap:skip(host debug state, monitor trap flag)
+  /// Never a fetchable pc (misaligned), so it matches nothing.
+  static constexpr u32 kNoResume = ~u32{0};
+  u32 resume_pc_ = kNoResume;  // snap:skip(host one-shot, EFLAGS.RF analog)
   CpuStats stats_{};
   PcProfiler profiler_;
 };

@@ -13,6 +13,9 @@ enum class EventKind : u8 {
   kException,  // fault raised by instruction execution (#GP, #PF, ...)
   kSoftInt,    // INT n instruction
   kExternal,   // interrupt request from the PIC
+  kMonitor,    // the monitor's own debug state fired (Cpu::arm_breakpoint,
+               // Cpu::set_debug_step): never the guest's to see, so it
+               // reaches only a trap hook
 };
 
 struct Fault {
@@ -30,6 +33,10 @@ struct Fault {
     return {kVecPf, err, va, EventKind::kException};
   }
   static Fault soft(u8 vector) { return {vector, 0, 0, EventKind::kSoftInt}; }
+  /// Monitor-owned #BP (armed breakpoint) or #DB (step request).
+  static Fault monitor(u8 vector) {
+    return {vector, 0, 0, EventKind::kMonitor};
+  }
 };
 
 }  // namespace vdbg::cpu

@@ -16,10 +16,12 @@
 // target, see is_direct_branch) stores up to two resolved successor pointers
 // (taken / fall-through) so the dispatcher loop is skipped entirely. Every
 // chain follow re-checks the *target's* page version and the fetch
-// translation of the new pc, so chains are safe against self-modifying code,
-// breakpoint patching and remapping; on invalidate_range / invalidate_all /
-// slot reuse the incoming-jump list is walked and every edge into the dying
-// block is severed eagerly (the tb_phys_invalidate analog).
+// translation of the new pc, so chains are safe against self-modifying code
+// and remapping; on invalidate_range / invalidate_all / slot reuse the
+// incoming-jump list is walked and every edge into the dying block is
+// severed eagerly (the tb_phys_invalidate analog). Superblocks are
+// translated from cached blocks, which never span an armed breakpoint, and
+// arming one drops its page's superblocks, so no chain ever reaches it.
 //
 // Determinism contract: a superblock retires exactly the state, cycle
 // charges and counter movements of the block-cache tier (which itself
@@ -243,11 +245,11 @@ class SuperblockCache {
 
   /// Hit path: the superblock at physical `pa` iff present and its code
   /// page is unwritten since translation. A slot found stale (same pa,
-  /// bumped page version — a guest store or debugger patch hit the code
-  /// page) is dropped eagerly so every chain through it is severed now, not
-  /// when the slot happens to be reused. No hit-counter movement (the
-  /// dispatcher counts hits itself); on miss the caller falls back to the
-  /// block-cache tier, which drives promotion.
+  /// bumped page version — a store hit the code page) is dropped eagerly
+  /// so every chain through it is severed now, not when the slot happens
+  /// to be reused. No hit-counter movement (the dispatcher counts hits
+  /// itself); on miss the caller falls back to the block-cache tier, which
+  /// drives promotion.
   SuperBlock* lookup(PAddr pa, u64 version, SbcStats& stats) {
     SuperBlock& slot = slot_for(pa);
     if (slot.valid && slot.pa == pa) {

@@ -81,10 +81,10 @@ void Lvmm::inject(u8 vector, u32 errcode, u32 resume_pc, bool is_soft_int,
   vcpu_.vif = false;
   vcpu_.halted = false;
   s.set_cpl(VcpuState::physical_ring(target));
-  // TF is cleared on entry as the architecture does — unless the debugger
-  // armed a single step, which must survive an interleaved injection (the
-  // step then lands on the first handler instruction, GDB-style).
-  s.set_tf(debug_ && debug_->wants_step());
+  // TF is cleared on entry as the architecture does. A debugger single
+  // step is the CPU's own state and survives the injection (it then stops
+  // after the first handler instruction, GDB-style).
+  s.set_tf(false);
   s.set_if(true);  // physical IF is the monitor's
   machine_.cpu().set_halted(false);
   ++stats_.injections;

@@ -125,7 +125,6 @@ bool GuestMemory::write(VAddr va, std::span<const u8> in) {
     if (!translate(va, /*write=*/true, pa)) return false;
     mem_.write_block(pa, in);
     invalidate_overlapping(pa, static_cast<u32>(in.size()));
-    if (observe_write_) observe_write_(pa, static_cast<u32>(in.size()));
     return true;
   }
   // Two-phase: translate every page first so a failure mid-span leaves
@@ -139,7 +138,6 @@ bool GuestMemory::write(VAddr va, std::span<const u8> in) {
     // A monitor poke may overwrite guest page-table words the cache
     // depends on (e.g. a debugger editing a PTE): drop those entries.
     invalidate_overlapping(s.pa, s.len);
-    if (observe_write_) observe_write_(s.pa, s.len);
     done += s.len;
   }
   return true;

@@ -67,11 +67,6 @@ class GuestMemory final : public TranslationListener {
     hit_cost_ = hit;
   }
 
-  /// Invoked once per physical chunk written (the owner invalidates
-  /// predecoded blocks covering patched guest text).
-  using WriteObserver = std::function<void(PAddr pa, u32 len)>;
-  void set_write_observer(WriteObserver obs) { observe_write_ = std::move(obs); }
-
   /// Kill switch mirroring Cpu::set_block_cache_enabled: disabled, every
   /// translation performs a full guest walk. Translation results are
   /// identical either way; only the per-access charge differs (walk vs hit).
@@ -141,8 +136,7 @@ class GuestMemory final : public TranslationListener {
   bool cache_enabled_ = true;  // snap:skip(host tuning knob)
   Cycles walk_cost_ = 0;  // snap:skip(cost-model config, set at install)
   Cycles hit_cost_ = 0;   // snap:skip(cost-model config, set at install)
-  ChargeFn charge_;               // snap:skip(host callback wiring)
-  WriteObserver observe_write_;   // snap:skip(host callback wiring)
+  ChargeFn charge_;  // snap:skip(host callback wiring)
   /// Reused across calls so hot-path span accesses do not allocate.
   /// snap:skip(scratch; contents are meaningless between calls)
   std::vector<Seg> scratch_segs_;

@@ -37,13 +37,6 @@ Lvmm::Lvmm(hw::Machine& machine, const Config& cfg)
   shadow_->set_translation_listener(gmem_.get());
   gmem_->set_walk_costs(cfg_.costs.guest_walk, cfg_.costs.guest_walk_hit);
   gmem_->set_charge_hook([this](Cycles c) { charge(c); });
-  // Debugger pokes may overwrite guest text (breakpoint opcode patching):
-  // drop any predecoded block covering the patched bytes. The page version
-  // bump from write_block() already guarantees staleness; this frees the
-  // slots eagerly.
-  gmem_->set_write_observer([this](PAddr pa, u32 len) {
-    machine_.cpu().invalidate_block_cache_range(pa, len);
-  });
 }
 
 Lvmm::~Lvmm() = default;
@@ -245,6 +238,13 @@ void Lvmm::classify_exit(ExitContext& ctx) {
     ctx.kind = ExitKind::kSoftInt;
     return;
   }
+  if (f.kind == cpu::EventKind::kMonitor) {
+    // The debugger's own breakpoint or step request; a guest BRK or TF
+    // trap is a plain exception and reflects below like any other.
+    ctx.kind = f.vector == cpu::kVecBreakpoint ? ExitKind::kBreakpoint
+                                               : ExitKind::kStep;
+    return;
+  }
   switch (f.vector) {
     case cpu::kVecGp: {
       ctx.have_instr = fetch_guest_instr(ctx.instr);
@@ -267,15 +267,6 @@ void Lvmm::classify_exit(ExitContext& ctx) {
     }
     case cpu::kVecPf:
       ctx.kind = ExitKind::kPageFault;
-      return;
-    case cpu::kVecBreakpoint:
-      ctx.kind = debug_ && debug_->owns_breakpoint(st().pc)
-                     ? ExitKind::kBreakpoint
-                     : ExitKind::kOther;
-      return;
-    case cpu::kVecDebug:
-      ctx.kind = debug_ && debug_->wants_step() ? ExitKind::kStep
-                                                : ExitKind::kOther;
       return;
     default:
       ctx.kind = ExitKind::kOther;
@@ -304,7 +295,6 @@ void Lvmm::dispatch_exit(ExitContext& ctx) {
       freeze_guest(DebugDelegate::StopReason::kBreakpoint);
       return;
     case ExitKind::kStep:
-      st().set_tf(false);
       freeze_guest(DebugDelegate::StopReason::kStep);
       return;
     case ExitKind::kInterrupt:  // external interrupts never route here
@@ -373,6 +363,7 @@ void Lvmm::freeze_guest(DebugDelegate::StopReason reason) {
   frozen_ = true;
   machine_.set_cpu_frozen(true);
   machine_.cpu().request_stop();
+  machine_.cpu().set_debug_step(false);
   if (debug_) debug_->on_guest_stop(reason);
   if (stop_observer_) stop_observer_(reason);
 }
@@ -380,50 +371,15 @@ void Lvmm::freeze_guest(DebugDelegate::StopReason reason) {
 void Lvmm::resume_guest() {
   frozen_ = false;
   machine_.set_cpu_frozen(false);
+  machine_.cpu().resume_over_breakpoint();  // before an injection moves pc
   try_inject();
 }
-
-void Lvmm::arm_single_step() { st().set_tf(true); }
 
 std::vector<std::pair<VAddr, u32>> Lvmm::watchpoint_list() const {
   std::vector<std::pair<VAddr, u32>> out;
   out.reserve(watches_.size());
   for (const auto& w : watches_) out.emplace_back(w.va, w.len);
   return out;
-}
-
-bool Lvmm::guest_peek_raw(VAddr va, u8& out) const {
-  PAddr pa = 0;
-  if (!vcpu_.paging_enabled()) {
-    if (va >= cfg_.guest_mem_limit) return false;
-    pa = va;
-  } else {
-    const auto w =
-        shadow_->walk_guest(vcpu_.vcr[cpu::kCr3], va, /*write=*/false,
-                            /*user=*/false);
-    if (!w.ok || w.pa >= cfg_.guest_mem_limit) return false;
-    pa = w.pa;
-  }
-  out = machine_.mem().read8(pa);
-  return true;
-}
-
-bool Lvmm::guest_poke_raw(VAddr va, u8 value) {
-  PAddr pa = 0;
-  if (!vcpu_.paging_enabled()) {
-    if (va >= cfg_.guest_mem_limit) return false;
-    pa = va;
-  } else {
-    const auto w =
-        shadow_->walk_guest(vcpu_.vcr[cpu::kCr3], va, /*write=*/false,
-                            /*user=*/false);
-    if (!w.ok || w.pa >= cfg_.guest_mem_limit) return false;
-    pa = w.pa;
-  }
-  // write8 bumps the page version, so any predecoded block covering the
-  // patched byte self-invalidates on its next version check.
-  machine_.mem().write8(pa, value);
-  return true;
 }
 
 // charge:covered(terminal; the guest freezes for good, accounting is moot)

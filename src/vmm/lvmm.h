@@ -47,17 +47,13 @@
 namespace vdbg::vmm {
 
 /// Debugger-facing callbacks. The RSP stub implements this; a monitor with
-/// no delegate reflects breakpoints to the guest and reports crashes only
-/// via VcpuState::crashed.
+/// no delegate reports crashes only via VcpuState::crashed. Breakpoints and
+/// single steps are the CPU's monitor debug state (Cpu::arm_breakpoint), so
+/// a BRK or TF the guest uses itself always reflects to the guest.
 class DebugDelegate {
  public:
   virtual ~DebugDelegate() = default;
   enum class StopReason : u8 { kBreakpoint, kStep, kCrash, kWatchpoint };
-  /// True when the #BP at `pc` belongs to a debugger breakpoint (as opposed
-  /// to a BRK the guest executes on its own).
-  virtual bool owns_breakpoint(VAddr pc) = 0;
-  /// True when the stub armed a single step and wants the next #DB.
-  virtual bool wants_step() = 0;
   /// The guest has been frozen; reason tells why.
   virtual void on_guest_stop(StopReason reason) = 0;
   /// A byte/interrupt arrived on the monitor's communication device.
@@ -139,11 +135,11 @@ class Lvmm : public cpu::TrapHook {
   }
   DebugDelegate* debug_delegate() const { return debug_; }
   /// Freezes/unfreezes guest execution (devices and simulated time go on).
+  /// A freeze of any kind ends a pending single step; a resume passes once
+  /// over a breakpoint armed at the current pc.
   void freeze_guest(DebugDelegate::StopReason reason);
   void resume_guest();
   bool guest_frozen() const { return frozen_; }
-  /// Arms a hardware single step of the guest (physical TF).
-  void arm_single_step();
 
   // --- data watchpoints (write), built on shadow paging ---
   /// Watches guest-virtual [va, va+len). Requires guest paging enabled
@@ -161,14 +157,6 @@ class Lvmm : public cpu::TrapHook {
   /// Snapshot of the active watch ranges, for reconciliation after a
   /// time-travel restore (the restored set reflects checkpoint time).
   std::vector<std::pair<VAddr, u32>> watchpoint_list() const;
-
-  /// Raw guest-byte access for host-side bookkeeping (breakpoint-patch
-  /// reconciliation after a snapshot restore): translates through the
-  /// guest's own tables but charges no cycles and touches no vTLB or
-  /// walk counters, so using it never perturbs a replay's timeline.
-  /// Permissions are ignored (a debugger patches read-only text).
-  bool guest_peek_raw(VAddr va, u8& out) const;
-  bool guest_poke_raw(VAddr va, u8 value);
 
   /// True while the monitor's private memory is uncorrupted (canary page).
   bool monitor_memory_intact() const;

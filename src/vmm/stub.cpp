@@ -30,61 +30,26 @@ void DebugStub::attach() {
   uart_.io_write(1, 0x03);
 }
 
-void DebugStub::set_time_travel(TimeTravel* tt) {
-  tt_ = tt;
-  if (!tt_) return;
-  tt_->set_patch_lookup([this](VAddr pc) -> std::optional<u8> {
-    const auto it = breakpoints_.find(pc);
-    if (it == breakpoints_.end()) return std::nullopt;
-    return it->second;
-  });
-  tt_->set_post_restore([this] { reapply_patches(); });
-}
-
 // --------------------------------------------------------------------------
 // DebugDelegate
 // --------------------------------------------------------------------------
 
-bool DebugStub::owns_breakpoint(VAddr pc) {
-  return breakpoints_.count(pc) != 0;
-}
-
-bool DebugStub::wants_step() { return user_stepping_ || step_over_.has_value(); }
-
 void DebugStub::on_guest_stop(StopReason reason) {
+  stopped_ = true;
   switch (reason) {
-    case StopReason::kBreakpoint:
-      stopped_ = true;
-      report_stop("S05");
-      return;
-    case StopReason::kStep:
-      if (step_over_) {
-        // Transparent re-patch after stepping over a breakpoint site.
-        insert_breakpoint(*step_over_);
-        step_over_.reset();
-        if (!user_stepping_) {
-          // Pure resume: keep going without telling the debugger.
-          stopped_ = false;
-          mon_.resume_guest();
-          return;
-        }
-      }
-      user_stepping_ = false;
-      stopped_ = true;
-      report_stop("S05");
-      return;
     case StopReason::kCrash:
-      stopped_ = true;
       report_stop("S0b");
       return;
     case StopReason::kWatchpoint: {
-      stopped_ = true;
       char buf[32];
       std::snprintf(buf, sizeof buf, "T05watch:%x;",
                     mon_.last_watch_hit().va);
       report_stop(buf);
       return;
     }
+    default:  // breakpoint, completed step, break-in
+      report_stop("S05");
+      return;
   }
 }
 
@@ -248,41 +213,24 @@ void DebugStub::execute(const std::string& p) {
 void DebugStub::do_continue() {
   if (!stopped_) return;  // spurious
   stopped_ = false;
-  const VAddr pc = mon_.machine().cpu().state().pc;
-  if (!mon_.vcpu().crashed && breakpoints_.count(pc)) {
-    // Step over the patched site, then re-arm it and keep running.
-    const u8 orig = breakpoints_[pc];
-    mon_.guest_write(pc, {&orig, 1});
-    breakpoints_.erase(pc);
-    step_over_ = pc;
-    mon_.arm_single_step();
-  }
-  mon_.resume_guest();
   checkpoint_on_resume();
+  mon_.resume_guest();
 }
 
 void DebugStub::checkpoint_on_resume() {
-  // Anchor a checkpoint at every interactive resume: the stretch from here
-  // to the next stop then contains no debugger wire traffic, so replaying
-  // it reproduces the original timeline exactly — which is what makes
-  // reverse execution from the next stop land faithfully.
+  // Anchor a checkpoint at the stop every interactive resume leaves: the
+  // stretch to the next stop then holds no debugger wire traffic, and a
+  // replay resumes the checkpoint exactly as this resume does, so reverse
+  // execution from the next stop lands faithfully.
   if (tt_ && tt_->enabled()) tt_->checkpoint_now();
 }
 
 void DebugStub::do_step() {
   if (!stopped_) return;
   stopped_ = false;
-  user_stepping_ = true;
-  const VAddr pc = mon_.machine().cpu().state().pc;
-  if (!mon_.vcpu().crashed && breakpoints_.count(pc)) {
-    const u8 orig = breakpoints_[pc];
-    mon_.guest_write(pc, {&orig, 1});
-    breakpoints_.erase(pc);
-    step_over_ = pc;
-  }
-  mon_.arm_single_step();
-  mon_.resume_guest();
   checkpoint_on_resume();
+  mon_.machine().cpu().set_debug_step(true);
+  mon_.resume_guest();
 }
 
 void DebugStub::do_reverse(bool is_continue) {
@@ -300,8 +248,6 @@ void DebugStub::do_reverse(bool is_continue) {
   }
   // Landed frozen somewhere in the past: report it like a live stop.
   stopped_ = true;
-  user_stepping_ = false;
-  step_over_.reset();
   switch (r.reason) {
     case StopReason::kWatchpoint: {
       char buf[32];

@@ -2,10 +2,13 @@
 //
 // This is the paper's "remote debugging functions" box: it receives
 // debugging commands over the communication device (the UART the monitor
-// owns), executes them against the guest (memory/register access, software
-// breakpoints by opcode patching, single-stepping via the trap flag, run
-// control), and reports stop events — all without any cooperation from the
-// OS under debug, and surviving arbitrary guest misbehaviour.
+// owns), executes them against the guest (memory/register access,
+// breakpoints, single-stepping, run control), and reports stop events — all
+// without any cooperation from the OS under debug, and surviving arbitrary
+// guest misbehaviour. Breakpoints and steps live in the CPU's monitor debug
+// state (Cpu::arm_breakpoint, Cpu::set_debug_step), never in guest memory
+// or the guest PSW, so the guest cannot see them: `m` reads back the real
+// bytes, and snapshots, checkpoints and forks carry none of it.
 //
 // Wire protocol: GDB remote-serial-protocol framing ($data#xx with '+'/'-'
 // acks, 0x03 break-in) and the classic command set:
@@ -72,11 +75,8 @@ class DebugStub final : public DebugDelegate {
   void attach();
 
   /// Attaches the time-travel controller behind the `bc`/`bs` packets and
-  /// the qVdbg.Snapshot/Checkpoint queries. The stub registers itself as
-  /// the controller's breakpoint-patch authority so replay can step over
-  /// patched sites and restores re-apply patches inserted after the
-  /// checkpoint. Pass nullptr to detach.
-  void set_time_travel(TimeTravel* tt);
+  /// the qVdbg.Snapshot/Checkpoint queries. Pass nullptr to detach.
+  void set_time_travel(TimeTravel* tt) { tt_ = tt; }
 
   /// Attaches the metrics registry behind qVdbg.Metrics (nullptr detaches).
   void set_metrics(const MetricsRegistry* reg) { metrics_ = reg; }
@@ -94,8 +94,6 @@ class DebugStub final : public DebugDelegate {
   void set_flight_loop(FlightLoop* fl) { flight_loop_ = fl; }
 
   // --- DebugDelegate ---
-  bool owns_breakpoint(VAddr pc) override;
-  bool wants_step() override;
   void on_guest_stop(StopReason reason) override;
   void on_uart_activity() override;
 
@@ -128,16 +126,11 @@ class DebugStub final : public DebugDelegate {
   void do_continue();
   void do_step();
   void do_reverse(bool is_continue);
-  /// Anchors a time-travel checkpoint at an interactive resume so the
-  /// window to the next stop is free of debugger wire traffic.
+  /// Anchors a time-travel checkpoint at the stop an interactive resume
+  /// leaves, so the window to the next stop is free of debugger wire
+  /// traffic.
   void checkpoint_on_resume();
   void report_stop(const std::string& reply);
-
-  bool insert_breakpoint(VAddr addr);
-  bool remove_breakpoint(VAddr addr);
-  /// Post-restore hook: reconciles breakpoint patches with the rolled-back
-  /// memory image (charge-free; writes only where the image disagrees).
-  void reapply_patches();
 
   Lvmm& mon_;
   hw::Uart& uart_;
@@ -151,11 +144,9 @@ class DebugStub final : public DebugDelegate {
 
   std::deque<u8> tx_queue_;
 
-  /// addr -> original opcode byte replaced by BRK.
-  std::map<VAddr, u8> breakpoints_;
-  /// Every site ever patched (kept after removal): a snapshot restore can
-  /// resurrect a stale BRK byte that must be un-patched.
-  std::map<VAddr, u8> patch_history_;
+  /// addr -> physical address armed in the CPU (breakpoints are physical,
+  /// like the code they stop).
+  std::map<VAddr, PAddr> breakpoints_;
 
   TimeTravel* tt_ = nullptr;
   const MetricsRegistry* metrics_ = nullptr;
@@ -165,10 +156,7 @@ class DebugStub final : public DebugDelegate {
   /// Host-side slot for qVdbg.Snapshot.Save/Load.
   std::vector<u8> snapshot_slot_;
 
-  bool stopped_ = false;        // guest frozen by us
-  bool user_stepping_ = false;  // 's' in flight
-  /// Breakpoint being transparently stepped over during resume.
-  std::optional<VAddr> step_over_;
+  bool stopped_ = false;  // guest frozen by us
 
   u64 commands_ = 0;
 };

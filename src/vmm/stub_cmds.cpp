@@ -3,6 +3,7 @@
 // dispatch live in stub.cpp.
 #include "vmm/stub.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "common/hexdump.h"
@@ -103,12 +104,6 @@ std::string DebugStub::cmd_read_memory(const std::string& args) {
   if (!addr || !len || *len > 0x1000) return "E01";
   std::vector<u8> buf(*len);
   if (!mon_.guest_read(*addr, buf)) return "E03";
-  // Report patched breakpoint sites with their original bytes.
-  for (const auto& [bp_addr, orig] : breakpoints_) {
-    if (bp_addr >= *addr && bp_addr < *addr + *len) {
-      buf[bp_addr - *addr] = orig;
-    }
-  }
   return to_hex(buf);
 }
 
@@ -122,40 +117,6 @@ std::string DebugStub::cmd_write_memory(const std::string& args) {
   if (!addr || !len || !bytes || bytes->size() != *len) return "E01";
   if (!mon_.guest_write(*addr, *bytes)) return "E03";
   return "OK";
-}
-
-bool DebugStub::insert_breakpoint(VAddr addr) {
-  u8 orig = 0;
-  if (!mon_.guest_read(addr, {&orig, 1})) return false;
-  const u8 brk = static_cast<u8>(cpu::Opcode::kBrk);
-  if (!mon_.guest_write(addr, {&brk, 1})) return false;
-  breakpoints_[addr] = orig;
-  patch_history_[addr] = orig;
-  return true;
-}
-
-void DebugStub::reapply_patches() {
-  const u8 brk = static_cast<u8>(cpu::Opcode::kBrk);
-  for (const auto& [addr, orig] : patch_history_) {
-    u8 cur = 0;
-    if (!mon_.guest_peek_raw(addr, cur)) continue;
-    if (breakpoints_.count(addr)) {
-      // Active breakpoint whose patch predates the restored image.
-      if (cur != brk) mon_.guest_poke_raw(addr, brk);
-    } else {
-      // Removed breakpoint resurrected by the restore: un-patch it.
-      if (cur == brk) mon_.guest_poke_raw(addr, orig);
-    }
-  }
-}
-
-bool DebugStub::remove_breakpoint(VAddr addr) {
-  auto it = breakpoints_.find(addr);
-  if (it == breakpoints_.end()) return false;
-  const u8 orig = it->second;
-  if (!mon_.guest_write(addr, {&orig, 1})) return false;
-  breakpoints_.erase(it);
-  return true;
 }
 
 std::string DebugStub::cmd_breakpoint(const std::string& args, bool insert) {
@@ -183,12 +144,25 @@ std::string DebugStub::cmd_breakpoint(const std::string& args, bool insert) {
   if (type != '0') return "";  // other kinds unsupported
 
   if (*addr & (cpu::kInstrBytes - 1)) return "E02";  // must be aligned
+  auto& cpu = mon_.machine().cpu();
+  const auto it = breakpoints_.find(*addr);
   if (insert) {
-    if (breakpoints_.count(*addr)) return "OK";
-    return insert_breakpoint(*addr) ? "OK" : "E03";
+    if (it != breakpoints_.end()) return "OK";
+    PAddr pa = 0;
+    if (!mon_.guest_va_to_pa(*addr, /*write=*/false, pa)) return "E03";
+    breakpoints_.emplace(*addr, pa);
+    cpu.arm_breakpoint(pa);
+    return "OK";
   }
-  if (!breakpoints_.count(*addr)) return "OK";
-  return remove_breakpoint(*addr) ? "OK" : "E03";
+  if (it == breakpoints_.end()) return "OK";
+  const PAddr pa = it->second;
+  breakpoints_.erase(it);
+  // Another address may alias the same physical instruction.
+  if (std::none_of(breakpoints_.begin(), breakpoints_.end(),
+                   [pa](const auto& bp) { return bp.second == pa; })) {
+    cpu.disarm_breakpoint(pa);
+  }
+  return "OK";
 }
 
 std::string DebugStub::cmd_query(const std::string& q) {

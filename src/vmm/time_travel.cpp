@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "cpu/isa.h"
-
 namespace vdbg::vmm {
 
 TimeTravel::TimeTravel(Lvmm& mon, Config cfg) : mon_(mon), cfg_(cfg) {}
@@ -156,7 +154,6 @@ bool TimeTravel::restore_state(const std::vector<u8>& bytes,
     for (const auto& w : restored) mon_.remove_watchpoint(w.first, w.second);
     for (const auto& w : desired) mon_.add_watchpoint(w.first, w.second);
   }
-  if (post_restore_) post_restore_();
   return true;
 }
 
@@ -171,7 +168,6 @@ void TimeTravel::begin_replay() {
   machine().nic().set_wire_muted(true);
   replaying_ = true;
   replay_failed_ = false;
-  step_over_.reset();
   held_ = false;
 }
 
@@ -187,6 +183,10 @@ void TimeTravel::end_replay() {
 hw::Machine::StopReason TimeTravel::replay_to(u64 target) {
   ++stats_.replay_passes;
   const u64 before = icount();
+  // A checkpoint taken at a stop (the stub anchors one at every c/s)
+  // resumes exactly as the stub resumed it, passing once over a breakpoint
+  // at the stop pc.
+  if (mon_.guest_frozen() && before < target) mon_.resume_guest();
   hw::Machine::StopReason r;
   for (;;) {
     r = machine().run_to_instruction(target, cfg_.replay_budget);
@@ -226,16 +226,9 @@ void TimeTravel::freeze_quietly(StopReason reason) {
 // DebugDelegate — replay-time stop handling
 // --------------------------------------------------------------------------
 
-bool TimeTravel::owns_breakpoint(VAddr pc) {
-  if (prev_delegate_) return prev_delegate_->owns_breakpoint(pc);
-  return patch_lookup_ && patch_lookup_(pc).has_value();
-}
-
-bool TimeTravel::wants_step() { return step_over_.has_value(); }
-
 void TimeTravel::on_uart_activity() {
   // Acknowledge exactly as the stub's service() would (reading IIR clears a
-  // THRE indication, charge-free): a checkpoint taken just after a resume
+  // THRE indication, charge-free): a checkpoint anchored at a resume
   // still has the reply's transmit-drain events in flight, and leaving the
   // level asserted would storm the interrupt path for the whole replay.
   // RX is NOT drained: a debugger-quiet window has none, and replay must
@@ -248,65 +241,30 @@ void TimeTravel::on_guest_stop(StopReason reason) {
   if (!replaying_) return;  // defensive: not our delegate window
   const u64 ic = icount();
 
-  // Completion of our own transparent step-over: re-patch, keep going.
-  if (reason == StopReason::kStep && step_over_) {
-    if (!mon_.guest_poke_raw(*step_over_,
-                             static_cast<u8>(cpu::Opcode::kBrk))) {
-      replay_failed_ = true;
-      hold(reason);
-      return;
-    }
-    step_over_.reset();
-    mon_.resume_guest();
-    return;
-  }
-
+  // Intermediate stops resume exactly like the stub's `c`; the resume
+  // passes over a breakpoint at the stop pc.
   if (mode_ == Mode::kScan) {
-    // A stop retiring exactly at the window's end boundary belongs to this
-    // window only when the boundary is a checkpoint from a newer window
-    // (the freeze precedes a checkpoint taken at the same icount, e.g. a
+    // A stop exactly at the window's end boundary belongs to this window
+    // only when the boundary is a checkpoint from a newer window (the
+    // freeze precedes a checkpoint taken at the same icount, e.g. a
     // resume-anchored one); when the boundary is the reverse origin itself,
-    // that stop IS the origin and must not be re-recorded. Step stops are
-    // never hits — they are artifacts of a trap flag captured by a
-    // checkpoint taken mid-single-step.
+    // that stop IS the origin and must not be re-recorded.
     const bool in_window =
         ic < scan_end_ || (scan_inclusive_ && ic == scan_end_);
-    const bool recordable = reason == StopReason::kBreakpoint ||
-                            reason == StopReason::kWatchpoint ||
-                            reason == StopReason::kCrash;
-    if (in_window && recordable) hits_.push_back({ic, reason});
+    if (in_window) hits_.push_back({ic, reason});
     if (ic < scan_end_ && reason != StopReason::kCrash) {
-      transparent_resume(reason);
+      mon_.resume_guest();
     } else {
       hold(reason);  // reached the window end (or an unpassable crash)
     }
     return;
   }
-  if (mode_ == Mode::kLand) {
-    if (ic < land_target_ && reason != StopReason::kCrash) {
-      transparent_resume(reason);
-    } else {
-      hold(reason);
-    }
+  if (mode_ == Mode::kLand && ic < land_target_ &&
+      reason != StopReason::kCrash) {
+    mon_.resume_guest();
     return;
   }
   hold(reason);
-}
-
-void TimeTravel::transparent_resume(StopReason reason) {
-  if (reason == StopReason::kBreakpoint) {
-    const VAddr pc = machine().cpu().state().pc;
-    std::optional<u8> orig;
-    if (patch_lookup_) orig = patch_lookup_(pc);
-    if (!orig || !mon_.guest_poke_raw(pc, *orig)) {
-      replay_failed_ = true;
-      hold(reason);
-      return;
-    }
-    step_over_ = pc;
-    mon_.arm_single_step();
-  }
-  mon_.resume_guest();
 }
 
 bool TimeTravel::restore_checkpoint_into(hw::Machine& m, Lvmm* mon,
@@ -388,26 +346,28 @@ TimeTravel::ReverseStop TimeTravel::reverse_continue() {
     scan_inclusive_ = window_end != origin;
     hits_.clear();
     held_ = false;
-    step_over_.reset();
     if (!restore_checkpoint(cp)) {
       done = true;
       break;
     }
-    replay_to(window_end);
+    // A breakpoint stops before its instruction retires, at the very
+    // boundary a replay to its icount halts on: an inclusive end runs one
+    // boundary further so a breakpoint there fires (the stop ends the pass).
+    replay_to(window_end + (scan_inclusive_ ? 1 : 0));
     if (replay_failed_) {
       done = true;
       break;
     }
     if (!hits_.empty()) {
       // Landing pass: restore again, replay to the LAST hit and keep that
-      // stop frozen.
+      // stop frozen (one boundary past it, so a breakpoint hit fires; the
+      // held stop ends the pass first).
       const Hit target = hits_.back();
       mode_ = Mode::kLand;
       land_target_ = target.icount;
       held_ = false;
-      step_over_.reset();
       if (restore_checkpoint(cp)) {
-        replay_to(target.icount);
+        replay_to(target.icount + 1);
         if (held_) {
           out = {ReverseOutcome::kStopped, held_reason_, icount()};
         }

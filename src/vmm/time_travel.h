@@ -20,10 +20,12 @@
 //                     lands frozen on the oldest checkpoint.
 //
 // During replay the controller swaps itself in as the monitor's
-// DebugDelegate (transparently stepping over breakpoint patches the same
-// way the stub's `c` does) and mutes the UART/NIC host sinks so replayed
-// output is not delivered twice. Device timing, interrupts, and every cycle
-// charge are unchanged — the checkpoint charge itself
+// DebugDelegate (resuming through intermediate stops exactly as the stub's
+// `c` does) and mutes the UART/NIC host sinks so replayed output is not
+// delivered twice. Breakpoints are the CPU's host-side debug state, which
+// no restore touches, so a replay stops at the breakpoints armed now;
+// checkpoints never hold debugger bytes. Device timing, interrupts, and
+// every cycle charge are unchanged — the checkpoint charge itself
 // (checkpoint_base + checkpoint_per_page x resident pages, see costs.h) is
 // a pure function of guest state at the boundary and re-applied at the same
 // boundaries during replay, so a replayed timeline stays cycle-identical to
@@ -31,9 +33,12 @@
 //
 // Replay fidelity: replay cannot reproduce debugger wire traffic, so only
 // debugger-quiet windows replay bit-identically. The stub therefore anchors
-// a checkpoint at every interactive resume ('c'/'s'), which makes the
-// window from the last resume to the next stop quiet by construction —
-// reverse operations from a stop land exactly, down to the faulting pc.
+// a checkpoint at the stop of every interactive resume ('c'/'s'), and a
+// replay resumes such a frozen checkpoint exactly as the stub did (passing
+// once over a breakpoint at the stop pc). The window from the last resume
+// to the next stop is thus quiet by construction — reverse operations from
+// a stop land exactly, down to the faulting pc. A stop at a checkpoint's
+// icount precedes that checkpoint, so it belongs to the older window.
 // Windows reaching further back, across earlier interactive stops, replay
 // without the original stub traffic's cycle charges and can diverge in
 // device timing (landings are then exact only in the replayed timeline's
@@ -42,8 +47,6 @@
 
 #include <cstddef>
 #include <deque>
-#include <functional>
-#include <optional>
 #include <vector>
 
 #include "vmm/lvmm.h"
@@ -163,21 +166,7 @@ class TimeTravel final : public DebugDelegate {
   static bool restore_checkpoint_into(hw::Machine& m, Lvmm* mon,
                                       const Checkpoint& cp);
 
-  /// Breakpoint-patch table lookup (addr -> original byte), owned by the
-  /// stub. Used for transparent step-over during replay and to classify
-  /// #BP ownership when no previous delegate exists.
-  using PatchLookup = std::function<std::optional<u8>(VAddr)>;
-  void set_patch_lookup(PatchLookup fn) { patch_lookup_ = std::move(fn); }
-  /// Invoked after every snapshot restore so the debug front end can
-  /// reconcile host-side state with the rolled-back memory image (the stub
-  /// re-applies breakpoint patches inserted after the checkpoint was taken).
-  void set_post_restore(std::function<void()> fn) {
-    post_restore_ = std::move(fn);
-  }
-
   // --- DebugDelegate (installed only while replaying) ---
-  bool owns_breakpoint(VAddr pc) override;
-  bool wants_step() override;
   void on_guest_stop(StopReason reason) override;
   void on_uart_activity() override;
 
@@ -204,15 +193,13 @@ class TimeTravel final : public DebugDelegate {
   bool restore_state(const std::vector<u8>& bytes, const cpu::CowPages* mem);
   void begin_replay();
   void end_replay();
-  /// Re-runs forward to `target` retired instructions, clearing guest-exit
-  /// latches that re-fire during replay. Returns the final stop reason.
+  /// Re-runs forward to `target` retired instructions, resuming a frozen
+  /// checkpoint first and clearing guest-exit latches that re-fire during
+  /// replay. Returns the final stop reason.
   hw::Machine::StopReason replay_to(u64 target);
   /// Records a held stop and breaks the machine out of its run loop before
   /// the frozen-service (the stub) can run mid-replay.
   void hold(StopReason reason);
-  /// Resumes through an intermediate replay stop exactly like the stub's
-  /// `c`: breakpoints are un-patched, single-stepped and re-patched.
-  void transparent_resume(StopReason reason);
   /// Freezes the guest without a delegate report (boundary landings,
   /// load_state, error containment).
   void freeze_quietly(StopReason reason);
@@ -224,9 +211,6 @@ class TimeTravel final : public DebugDelegate {
   bool enabled_ = false;
   int hook_id_ = 0;  // add_instr_hook registration while enabled
 
-  PatchLookup patch_lookup_;
-  std::function<void()> post_restore_;
-
   // Replay-session state (valid between begin_replay/end_replay).
   bool replaying_ = false;
   Mode mode_ = Mode::kIdle;
@@ -235,7 +219,6 @@ class TimeTravel final : public DebugDelegate {
   bool scan_inclusive_ = false;  // scan: also record a hit at == scan_end_
   u64 land_target_ = 0;  // land: hold the first stop at-or-after this icount
   std::vector<Hit> hits_;
-  std::optional<VAddr> step_over_;
   bool held_ = false;
   StopReason held_reason_ = StopReason::kStep;
   bool suppress_stop_ = false;  // freeze_quietly in flight

@@ -14,7 +14,8 @@
 //    bit-identical; that is the fast paths' correctness contract.
 //  * Directed superblock cases: chain unchaining under self-modifying code
 //    and breakpoint patching, chaining across a page-boundary block cut,
-//    and the generic-tail self-chain guard.
+//    the generic-tail self-chain guard, and the monitor's armed
+//    breakpoints and step requests across all three tiers.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -748,6 +749,118 @@ TEST(CpuDifferential, GenericTailSelfCallNeverSkipsTheChainGuard) {
          "not exercised";
   EXPECT_GT(super.cpu.sbc_stats().invalidations, 0u)
       << "pushes reaching the code page never dropped the translation";
+}
+
+// Records the monitor's own debug events and freezes the CPU on each, the
+// way a debugging monitor's trap hook would.
+struct DebugEventHook final : cpu::TrapHook {
+  struct Event {
+    u8 vector;
+    cpu::EventKind kind;
+    u32 pc;
+  };
+  void on_event(cpu::Cpu& c, const cpu::Fault& f) override {
+    events.push_back({f.vector, f.kind, c.state().pc});
+    c.request_stop();
+  }
+  void on_external_interrupt(cpu::Cpu&, u8) override {}
+  std::vector<Event> events;
+};
+
+TEST(CpuDifferential, ArmedBreakpointAndStepRequestMatchAcrossTiers) {
+  // The monitor's debug state lives outside guest memory and the PSW: an
+  // armed physical address stops every tier before the instruction there
+  // is fetched, a resume passes it once, a step request stops after one
+  // instruction, and none of it costs guest cycles or changes guest state.
+  // All three tiers must agree at every stop, and a hot, self-chained
+  // superblock must be split at the armed address.
+  auto build = [](CpuHarness& h) {
+    h.load([](Assembler& a) {
+      a.movi(cpu::kR0, u32{0});
+      a.movi(cpu::kR1, u32{0});
+      a.label("loop");
+      a.addi(cpu::kR0, cpu::kR0, u32{1});
+      a.addi(cpu::kR1, cpu::kR1, u32{3});
+      a.cmpi(cpu::kR0, u32{100000});
+      a.jnz(l("loop"));
+      a.hlt();
+    });
+  };
+  const u32 armed_va = 0x1000 + 3 * cpu::kInstrBytes;  // the second addi
+
+  std::array<CpuHarness, 3> rigs;  // superblock, block cache, interpreter
+  std::array<DebugEventHook, 3> hooks;
+  for (unsigned i = 0; i < 3; ++i) {
+    build(rigs[i]);
+    rigs[i].cpu.set_trap_hook(&hooks[i]);
+  }
+  rigs[1].cpu.set_superblocks_enabled(false);
+  rigs[2].cpu.set_block_cache_enabled(false);
+  auto expect_same = [&](const char* where) {
+    for (unsigned i = 1; i < 3; ++i) {
+      EXPECT_EQ(rigs[i].cpu.state().pc, rigs[0].cpu.state().pc) << where;
+      EXPECT_EQ(rigs[i].cpu.state().psw, rigs[0].cpu.state().psw) << where;
+      EXPECT_EQ(rigs[i].cpu.state().regs, rigs[0].cpu.state().regs) << where;
+      EXPECT_EQ(rigs[i].cpu.cycles(), rigs[0].cpu.cycles()) << where;
+      EXPECT_EQ(rigs[i].cpu.stats().instructions,
+                rigs[0].cpu.stats().instructions)
+          << where;
+      EXPECT_EQ(rigs[i].cpu.stats().mem_accesses,
+                rigs[0].cpu.stats().mem_accesses)
+          << where;
+      EXPECT_EQ(hooks[i].events.size(), hooks[0].events.size()) << where;
+    }
+  };
+
+  // Get the loop hot and self-chained before arming.
+  for (auto& r : rigs) ASSERT_EQ(r.cpu.run(3000), cpu::RunExit::kBudget);
+  ASSERT_GT(rigs[0].cpu.sbc_stats().chains, 0u);
+  expect_same("warm");
+
+  for (auto& r : rigs) r.cpu.arm_breakpoint(armed_va);  // identity: pa == va
+  for (auto& r : rigs) {
+    ASSERT_EQ(r.cpu.run(100000), cpu::RunExit::kStopRequested);
+  }
+  expect_same("first hit");
+  for (unsigned i = 0; i < 3; ++i) {
+    ASSERT_EQ(hooks[i].events.size(), 1u);
+    EXPECT_EQ(hooks[i].events[0].vector, cpu::kVecBreakpoint);
+    EXPECT_EQ(hooks[i].events[0].kind, cpu::EventKind::kMonitor);
+    EXPECT_EQ(hooks[i].events[0].pc, armed_va);
+  }
+  const u32 r1_at_hit = rigs[0].reg(cpu::kR1);
+
+  // Resuming passes the breakpoint once; the next iteration hits again.
+  for (auto& r : rigs) {
+    r.cpu.resume_over_breakpoint();
+    ASSERT_EQ(r.cpu.run(100000), cpu::RunExit::kStopRequested);
+  }
+  expect_same("second hit");
+  EXPECT_EQ(rigs[0].cpu.state().pc, armed_va);
+  EXPECT_EQ(rigs[0].reg(cpu::kR1), r1_at_hit + 3);
+
+  // A step request from the stop executes exactly the armed instruction.
+  const u64 icount = rigs[0].cpu.stats().instructions;
+  for (auto& r : rigs) {
+    r.cpu.resume_over_breakpoint();
+    r.cpu.set_debug_step(true);
+    ASSERT_EQ(r.cpu.run(100000), cpu::RunExit::kStopRequested);
+  }
+  expect_same("step");
+  EXPECT_EQ(hooks[0].events.back().vector, cpu::kVecDebug);
+  EXPECT_EQ(hooks[0].events.back().kind, cpu::EventKind::kMonitor);
+  EXPECT_EQ(rigs[0].cpu.stats().instructions, icount + 1);
+  EXPECT_EQ(rigs[0].cpu.state().pc, armed_va + cpu::kInstrBytes);
+
+  // Disarmed, the loop runs out; the debug state left no trace behind.
+  for (auto& r : rigs) {
+    r.cpu.disarm_breakpoint(armed_va);
+    ASSERT_EQ(r.cpu.run(10'000'000), cpu::RunExit::kHalted);
+  }
+  expect_same("halt");
+  EXPECT_EQ(rigs[0].reg(cpu::kR0), 100000u);
+  EXPECT_EQ(rigs[0].reg(cpu::kR1), 300000u);
+  EXPECT_EQ(dump_mem(rigs[0].mem), dump_mem(rigs[2].mem));
 }
 
 }  // namespace

@@ -7,9 +7,11 @@
 #include "asm/assembler.h"
 #include "common/units.h"
 #include "debug/remote_debugger.h"
+#include "fleet/machine_unit.h"
 #include "guest/layout.h"
 #include "guest/minitactix.h"
 #include "harness/platform.h"
+#include "hw/diag_port.h"
 #include "vmm/stub.h"
 
 namespace vdbg::test {
@@ -85,7 +87,7 @@ TEST(DebugSession, BreakpointInNicDriverHitsDuringStreaming) {
   EXPECT_EQ(regs->pc, *isr_nic);
   EXPECT_EQ(rig.dbg->describe(regs->pc), "isr_nic");
 
-  // Hit it again: transparent step-over must re-arm the breakpoint.
+  // Hit it again: the resume passes the breakpoint once and leaves it armed.
   ASSERT_EQ(rig.dbg->continue_and_wait(seconds_to_cycles(0.05)),
             StopKind::kBreak);
   EXPECT_EQ(rig.dbg->read_registers()->pc, *isr_nic);
@@ -146,11 +148,12 @@ TEST(DebugSession, BreakpointSitesReadBackOriginalBytes) {
   const auto isr = rig.dbg->lookup("isr_timer").value();
   const auto orig = rig.dbg->read_memory(isr, 8).value();
   ASSERT_TRUE(rig.dbg->set_breakpoint(isr));
-  // Raw guest memory now holds BRK...
+  // Raw guest memory still holds the original byte (the breakpoint is CPU
+  // state, not a patch)...
   u8 raw = 0;
   rig.platform->monitor()->guest_read(isr, {&raw, 1});
-  EXPECT_EQ(raw, static_cast<u8>(cpu::Opcode::kBrk));
-  // ...but the debugger's view is transparent.
+  EXPECT_EQ(raw, orig[0]);
+  // ...and the debugger's view matches it.
   EXPECT_EQ(rig.dbg->read_memory(isr, 8).value(), orig);
   ASSERT_TRUE(rig.dbg->clear_breakpoint(isr));
   rig.platform->monitor()->guest_read(isr, {&raw, 1});
@@ -268,6 +271,118 @@ TEST(DebugSession, StreamSurvivesRepeatedBreakInsWithIntegrity) {
   EXPECT_EQ(rig.platform->sink().sequence_gaps(), 0u);
   EXPECT_EQ(rig.platform->sink().content_errors(), 0u);
   EXPECT_EQ(rig.platform->sink().checksum_errors(), 0u);
+}
+
+// ------------------------------------------------ guest transparency --
+
+constexpr u32 kGoFlagAddr = 0x2000;  // host releases the guest
+constexpr u32 kTextSumAddr = 0x2004;  // guest's checksum of its own text
+
+/// Kernel that waits for the host's go flag, then sums every byte of its
+/// own text into kTextSumAddr and exits. An unmodified OS checksumming
+/// itself is exactly what a patching debugger would disturb.
+vasm::Program build_self_summing_guest() {
+  using namespace vasm;
+  using cpu::kR0;
+  using cpu::kR1;
+  using cpu::kR2;
+  using cpu::kR3;
+  using cpu::kR6;
+  Assembler a(guest::kKernelBase);
+  a.label("entry");
+  a.movi(cpu::kSp, u32{guest::kKernelStackTop});
+  a.movi(kR0, l("idt"));
+  a.lidt(kR0, guest::kIdtEntries);
+  a.movi(kR6, u32{kGoFlagAddr});
+  a.label("wait");
+  a.ld32(kR0, kR6, 0);
+  a.cmpi(kR0, u32{0});
+  a.jz(l("wait"));
+  a.movi(kR0, u32{guest::kKernelBase});
+  a.movi(kR2, l("text_end"));
+  a.movi(kR1, u32{0});
+  a.label("sum");
+  a.ld8(kR3, kR0, 0);
+  a.add(kR1, kR1, kR3);
+  a.addi(kR0, kR0, u32{1});
+  a.cmp(kR0, kR2);
+  a.jb(l("sum"));
+  a.label("store");
+  a.movi(kR6, u32{kTextSumAddr});
+  a.st32(kR6, 0, kR1);
+  a.movi(kR0, u32{guest::kExitDone});
+  a.out(hw::kDiagExitPort, kR0);
+  a.hlt();
+  a.label("panic");
+  a.movi(kR0, u32{guest::kExitPanic});
+  a.out(hw::kDiagExitPort, kR0);
+  a.hlt();
+  a.label("text_end");
+  a.align(8);
+  a.label("idt");
+  for (u32 v = 0; v < guest::kIdtEntries; ++v) {
+    a.data_ref(l("panic"));
+    a.data32(cpu::Gate{0, true, 0, 0}.pack_flags());
+  }
+  return a.finalize();
+}
+
+/// An LVMM unit running the self-summing guest instead of MiniTactix.
+struct SelfSumRig {
+  SelfSumRig() : unit(fleet::UnitKind::kLvmm, fleet::UnitOptions{}, 0) {
+    unit.prepare(RunConfig());
+    prog = build_self_summing_guest();
+    prog.load(unit.machine().mem());
+    unit.machine().cpu().state().pc = *prog.symbol("entry");
+  }
+  u32 text_end() const { return *prog.symbol("text_end"); }
+
+  fleet::MachineUnit unit;
+  vasm::Program prog;
+};
+
+// The ROADMAP's transparency gate: a guest checksumming its own text with
+// debugger breakpoints armed inside that text gets the unpatched sum, and
+// the hit and the resume over it leave the result untouched.
+TEST(DebugTransparency, GuestSumsItsOwnTextUnchangedByArmedBreakpoints) {
+  // Reference: nothing armed, no debugger.
+  SelfSumRig plain;
+  auto& pm = plain.unit.machine();
+  pm.mem().write32(kGoFlagAddr, 1);
+  ASSERT_EQ(pm.run_until_stopped(seconds_to_cycles(0.01)),
+            hw::Machine::StopReason::kGuestExit);
+  ASSERT_EQ(pm.guest_exit_code().value_or(0), guest::kExitDone);
+  const u32 plain_sum = pm.mem().read32(kTextSumAddr);
+  u32 image_sum = 0;
+  for (u32 a = guest::kKernelBase; a < plain.text_end(); ++a) {
+    image_sum += pm.mem().read8(a);
+  }
+  EXPECT_EQ(plain_sum, image_sum);
+
+  // Debugged: break into the waiting guest, arm breakpoints on the store
+  // that follows the sum and on the never-run panic path, release it.
+  SelfSumRig rig;
+  ASSERT_NE(rig.unit.attach_stub(), nullptr);
+  RemoteDebugger dbg(rig.unit.machine());
+  dbg.add_symbols(rig.prog);
+  ASSERT_TRUE(dbg.connect());
+  ASSERT_EQ(dbg.interrupt(), StopKind::kBreak);
+  const u32 store = dbg.lookup("store").value();
+  const u32 panic = dbg.lookup("panic").value();
+  ASSERT_TRUE(dbg.set_breakpoint(store));
+  ASSERT_TRUE(dbg.set_breakpoint(panic));
+  const u8 go[4] = {1, 0, 0, 0};
+  ASSERT_TRUE(dbg.write_memory(kGoFlagAddr, go));
+
+  ASSERT_EQ(dbg.continue_and_wait(seconds_to_cycles(0.05)), StopKind::kBreak);
+  ASSERT_EQ(dbg.read_registers().value().pc, store);
+  EXPECT_EQ(dbg.read_registers().value().r[cpu::kR1], plain_sum)
+      << "the guest summed different text with breakpoints armed";
+  ASSERT_EQ(dbg.continue_and_wait(seconds_to_cycles(0.05)),
+            StopKind::kGuestExit);
+  auto& m = rig.unit.machine();
+  EXPECT_EQ(m.guest_exit_code().value_or(0), guest::kExitDone);
+  EXPECT_EQ(m.mem().read32(kTextSumAddr), plain_sum);
 }
 
 }  // namespace

@@ -12,6 +12,8 @@
 // of the perturbation — exactly what the bug trap must isolate.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "asm/assembler.h"
 #include "common/units.h"
 #include "debug/remote_debugger.h"
@@ -360,6 +362,53 @@ TEST(MultiverseRsp, UnrelatedQueriesFallThroughTheHook) {
   ASSERT_TRUE(dbg.connect());
   EXPECT_TRUE(dbg.take_checkpoint());
   EXPECT_EQ(dbg.checkpoint_count().value_or(0), 1u);
+}
+
+// Forks branch from the program's real state: a breakpoint armed where the
+// fork is taken is debugger state, not guest memory, so no timeline
+// inherits it. A breakpoint patched into guest text would ride the
+// checkpoint into every fork's timer ISR and panic it on #BP (mailbox
+// last_error 3).
+TEST(MultiverseRsp, ForksDoNotInheritDebuggerBreakpoints) {
+  const RunConfig rc = RunConfig::for_rate_mbps(40.0);
+  fleet::MachineUnit unit(fleet::UnitKind::kLvmm, fleet::UnitOptions{}, 0);
+  unit.prepare(rc);
+  vmm::DebugStub* stub = unit.attach_stub();
+  ASSERT_NE(stub, nullptr);
+  TimeTravel tt(*unit.monitor());
+  stub->set_time_travel(&tt);
+  RemoteDebugger dbg(unit.machine());
+  dbg.add_symbols(unit.image().kernel);
+  ASSERT_TRUE(dbg.connect());
+  unit.machine().run_for(seconds_to_cycles(0.02));
+  ASSERT_EQ(dbg.interrupt(), RemoteDebugger::StopKind::kBreak);
+
+  const auto isr_timer = dbg.lookup("isr_timer");
+  ASSERT_TRUE(isr_timer);
+  ASSERT_TRUE(dbg.set_breakpoint(*isr_timer));
+  ASSERT_TRUE(tt.checkpoint_now());
+
+  MultiverseConfig cfg;
+  cfg.timelines = 2;
+  cfg.threads = 2;
+  cfg.budget = seconds_to_cycles(0.005);  // a handful of 1 ms timer ticks
+  cfg.slice = seconds_to_cycles(0.001);
+  cfg.run = rc;
+  Multiverse mv(tt.checkpoints().back(), cfg);
+  char panic_on_bp[48];
+  std::snprintf(panic_on_bp, sizeof panic_on_bp, "mailbox:%x=%x",
+                guest::kMailboxBase + guest::Mailbox::kLastError,
+                u32{cpu::kVecBreakpoint});
+  const auto pred = OutcomePredicate::parse(panic_on_bp);
+  ASSERT_TRUE(pred);
+
+  const auto results = mv.explore(*pred);
+  ASSERT_EQ(results.size(), 2u);
+  for (const TimelineResult& r : results) {
+    EXPECT_FALSE(r.hit) << "timeline " << r.perturb.describe()
+                        << " panicked on the debugger's breakpoint";
+    EXPECT_FALSE(r.status.crashed);
+  }
 }
 
 }  // namespace

@@ -474,5 +474,149 @@ TEST(TimeTravelRsp, CheckpointQueriesOverRsp) {
   EXPECT_EQ(rig.dbg->checkpoint_count().value_or(0), 1u);
 }
 
+// A breakpoint session with time travel: an LVMM guest streaming at `mbps`,
+// stub attached, the controller armed after a short boot, then a break-in
+// and a breakpoint in the NIC interrupt handler. Continuing from that stop
+// anchors a checkpoint, so the run to the first hit is debugger-quiet.
+struct BreakpointRig {
+  BreakpointRig(double mbps, TimeTravel::Config cfg) {
+    platform = std::make_unique<Platform>(PlatformKind::kLvmm);
+    platform->prepare(RunConfig::for_rate_mbps(mbps));
+    stub = std::make_unique<vmm::DebugStub>(*platform->monitor(),
+                                            platform->machine().uart());
+    stub->attach();
+    tt = std::make_unique<TimeTravel>(*platform->monitor(), cfg);
+    stub->set_time_travel(tt.get());
+    dbg = std::make_unique<RemoteDebugger>(platform->machine());
+    dbg->add_symbols(platform->image().kernel);
+    dbg->add_symbols(platform->image().app);
+    EXPECT_TRUE(dbg->connect());
+    tt->enable();
+    platform->machine().run_for(seconds_to_cycles(0.03));
+    EXPECT_EQ(dbg->interrupt(), StopKind::kBreak);
+    isr_nic = dbg->lookup("isr_nic").value_or(0);
+    EXPECT_NE(isr_nic, 0u);
+    EXPECT_TRUE(dbg->set_breakpoint(isr_nic));
+  }
+
+  std::unique_ptr<Platform> platform;
+  std::unique_ptr<vmm::DebugStub> stub;
+  std::unique_ptr<TimeTravel> tt;
+  std::unique_ptr<RemoteDebugger> dbg;
+  u32 isr_nic = 0;
+};
+
+// Regression: stepping twice from a breakpoint stop, reversing one step and
+// continuing must leave no debugger state behind in the guest. A step kept
+// in the guest PSW would be captured by the resume-anchored checkpoint, the
+// landing would carry TF=1, and the continue would panic the guest on #DB.
+TEST(TimeTravelRsp, ContinueAfterReverseStepKeepsGuestHealthy) {
+  TimeTravel::Config cfg;
+  cfg.interval = 20'000;
+  cfg.ring = 16;
+  BreakpointRig rig(60.0, cfg);
+  ASSERT_EQ(rig.dbg->continue_and_wait(seconds_to_cycles(0.05)),
+            StopKind::kBreak);
+  ASSERT_EQ(rig.dbg->read_registers().value().pc, rig.isr_nic);
+
+  ASSERT_EQ(rig.dbg->step(), StopKind::kBreak);
+  ASSERT_EQ(rig.dbg->step(), StopKind::kBreak);
+  ASSERT_EQ(rig.dbg->reverse_step(), StopKind::kBreak);
+  const auto landed = rig.dbg->read_registers();
+  ASSERT_TRUE(landed);
+  EXPECT_EQ(landed->psw & cpu::Psw::kTf, 0u)
+      << "the landing carries the debugger's single-step trap flag";
+
+  EXPECT_NE(rig.dbg->continue_and_wait(seconds_to_cycles(0.05)),
+            StopKind::kGuestExit);
+  EXPECT_EQ(rig.platform->mailbox().last_error, 0u);
+  EXPECT_FALSE(rig.platform->monitor()->vcpu().crashed);
+}
+
+// reverse-continue returns to the previous breakpoint hit: replay stops at
+// the armed address exactly where the first hit stopped, and the landing
+// reports the breakpoint pc at that hit's retired-instruction count.
+TEST(TimeTravelRsp, ReverseContinueLandsOnPreviousBreakpointHit) {
+  TimeTravel::Config cfg;
+  cfg.interval = 20'000;
+  cfg.ring = 64;  // reaches back past the resume checkpoint at hit 1
+  BreakpointRig rig(40.0, cfg);
+  // Guest state at the most recent freeze.
+  const auto& cpu = rig.platform->machine().cpu();
+  cpu::CpuState frozen{};
+  rig.platform->monitor()->set_stop_observer(
+      [&](vmm::DebugDelegate::StopReason) { frozen = cpu.state(); });
+
+  ASSERT_EQ(rig.dbg->continue_and_wait(seconds_to_cycles(0.05)),
+            StopKind::kBreak);
+  ASSERT_EQ(rig.dbg->read_registers().value().pc, rig.isr_nic);
+  const auto n1 = rig.dbg->icount();
+  ASSERT_TRUE(n1);
+  const cpu::CpuState hit1 = frozen;
+  ASSERT_EQ(rig.dbg->continue_and_wait(seconds_to_cycles(0.05)),
+            StopKind::kBreak);
+  ASSERT_EQ(rig.dbg->read_registers().value().pc, rig.isr_nic);
+  const auto n2 = rig.dbg->icount();
+  ASSERT_TRUE(n2);
+  ASSERT_GT(*n2, *n1);
+
+  ASSERT_EQ(rig.dbg->reverse_continue(), StopKind::kBreak);
+  EXPECT_EQ(rig.dbg->read_registers().value().pc, rig.isr_nic);
+  EXPECT_EQ(rig.dbg->icount().value_or(0), *n1);
+  // The landing is hit 1 itself.
+  EXPECT_EQ(frozen.regs, hit1.regs);
+  EXPECT_EQ(frozen.psw, hit1.psw);
+
+  // Forward from the landing, the breakpoint still hits.
+  EXPECT_EQ(rig.dbg->continue_and_wait(seconds_to_cycles(0.05)),
+            StopKind::kBreak);
+  EXPECT_EQ(rig.dbg->read_registers().value().pc, rig.isr_nic);
+  EXPECT_EQ(rig.platform->mailbox().last_error, 0u);
+}
+
+// Replay fidelity from a breakpoint stop: the checkpoint anchored at the
+// resume from hit 1 replays exactly like that resume, so reverse-stepi from
+// hit 2 lands on the very state the original run had one instruction
+// earlier. A twin session repeats the script up to that resume and runs to
+// the same boundary undisturbed; pc, registers, flags and simulated time
+// must all match.
+TEST(TimeTravelRsp, ReverseStepFromBreakpointHitMatchesTheOriginalRun) {
+  TimeTravel::Config cfg;
+  cfg.interval = 100'000'000;  // only the stub's resume checkpoints
+  cfg.ring = 64;
+  BreakpointRig a(40.0, cfg);
+  BreakpointRig twin(40.0, cfg);
+  for (BreakpointRig* r : {&a, &twin}) {
+    ASSERT_EQ(r->dbg->continue_and_wait(seconds_to_cycles(0.05)),
+              StopKind::kBreak);
+  }
+  ASSERT_EQ(a.dbg->continue_and_wait(seconds_to_cycles(0.05)),
+            StopKind::kBreak);
+  const u64 m = a.dbg->icount().value();
+  // The landing as the guest froze (simulated time runs on while the
+  // reply crosses the wire).
+  const auto& cpu = a.platform->machine().cpu();
+  cpu::CpuState landed{};
+  Cycles landed_at = 0;
+  a.platform->monitor()->set_stop_observer(
+      [&](vmm::DebugDelegate::StopReason) {
+        landed = cpu.state();
+        landed_at = cpu.cycles();
+      });
+  ASSERT_EQ(a.dbg->reverse_step(), StopKind::kBreak);
+  ASSERT_EQ(a.dbg->icount().value_or(0), m - 1);
+
+  auto& tm = twin.platform->machine();
+  tm.uart().host_inject("$c#63");  // the same resume, then no debugger
+  ASSERT_EQ(tm.run_to_instruction(m - 1, seconds_to_cycles(0.05)),
+            MStop::kInstrLimit);
+  const auto& want = tm.cpu();
+  EXPECT_EQ(landed.pc, want.state().pc);
+  EXPECT_EQ(landed.regs, want.state().regs);
+  EXPECT_EQ(landed.psw, want.state().psw);
+  EXPECT_EQ(landed_at, want.cycles())
+      << "the replayed window diverged from the original in simulated time";
+}
+
 }  // namespace
 }  // namespace vdbg::test
