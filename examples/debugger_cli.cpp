@@ -4,7 +4,9 @@
 //   ./debugger_cli            reads commands from stdin (pipe a script, or
 //                             type interactively; `help` lists commands)
 //   ./debugger_cli --demo     runs a canned transcript that exercises
-//                             breakpoints, watchpoints, tracing and memory
+//                             breakpoints, watchpoints, reverse execution,
+//                             tracing and memory, checks every reply it
+//                             expects, and exits non-zero on a mismatch
 //
 // The target streams the paper's disk->UDP workload at 60 Mbps the whole
 // time — debug it live, as the paper intends.
@@ -23,6 +25,68 @@
 #include "vmm/trace.h"
 
 using namespace vdbg;
+
+namespace {
+
+/// One command of the --demo session and a piece of text its reply must
+/// contain (nullptr: any reply).
+struct DemoStep {
+  const char* command;
+  const char* expect;
+};
+
+constexpr const char* kWatchStop = "(watchpoint at 0x1004)";
+
+constexpr DemoStep kDemo[] = {
+    {"run 30", "advanced 30 ms"},
+    {"int", "stopped at pc="},
+    {"regs", nullptr},
+    {"disas", nullptr},
+    {"break isr_nic", "breakpoint set"},
+    {"c", "stopped at pc="},
+    {"regs", nullptr},
+    {"delete isr_nic", "breakpoint cleared"},
+    {"x 0x1000 48", nullptr},
+    {"watch 0x1004", "watchpoint set"},
+    {"c", kWatchStop},
+    {"c", kWatchStop},
+    {"reverse-step", "stopped at pc="},  // the instruction before the store
+    {"regs", nullptr},
+    {"s", kWatchStop},
+    {"reverse-continue", kWatchStop},
+    {"unwatch 0x1004", "watchpoint cleared"},
+    {"c 1", nullptr},
+    {"trace on", "ok"},
+    {"run 5", "advanced 5 ms"},
+    {"trace show 6", nullptr},
+    {"run 20", "advanced 20 ms"},
+    {"status", "crashed:   no"},
+    {"quit", nullptr},
+};
+
+/// Runs kDemo, echoing a transcript to stdout. True when every reply holds
+/// its expected text and no line reports an error.
+bool run_demo(debug::DebuggerCli& cli, std::ostringstream& out) {
+  bool ok = true;
+  for (const DemoStep& step : kDemo) {
+    out.str("");
+    cli.execute(step.command);
+    const std::string reply = out.str();
+    std::cout << "(vdbg) " << step.command << "\n" << reply;
+    const bool error = reply.rfind("error:", 0) == 0 ||
+                       reply.find("\nerror:") != std::string::npos;
+    const bool missing =
+        step.expect && reply.find(step.expect) == std::string::npos;
+    if (error || missing) {
+      std::cerr << "demo: '" << step.command << "' did not reply with '"
+                << (step.expect ? step.expect : "no error") << "'\n";
+      ok = false;
+    }
+  }
+  return ok;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   harness::Platform platform(harness::PlatformKind::kLvmm);
@@ -70,38 +134,12 @@ int main(int argc, char** argv) {
   std::cout << "connected to MiniTactix under the LVMM (streaming at "
                "60 Mbps). Type 'help'.\n";
 
-  debug::DebuggerCli cli(dbg, platform.machine(), std::cout);
-
-  const bool demo = argc > 1 && std::string(argv[1]) == "--demo";
-  if (demo) {
-    std::istringstream script(
-        "run 30\n"
-        "int\n"
-        "regs\n"
-        "disas\n"
-        "break isr_nic\n"
-        "c\n"
-        "regs\n"
-        "delete isr_nic\n"
-        "x 0x1000 48\n"
-        "watch 0x1004\n"
-        "c\n"
-        "c\n"
-        "reverse-step\n"
-        "regs\n"
-        "s\n"
-        "reverse-continue\n"
-        "unwatch 0x1004\n"
-        "c 1\n"
-        "trace on\n"
-        "run 5\n"
-        "trace show 6\n"
-        "run 20\n"
-        "status\n"
-        "quit\n");
-    cli.run(script, /*echo=*/true);
-    return 0;
+  if (argc > 1 && std::string(argv[1]) == "--demo") {
+    std::ostringstream out;
+    debug::DebuggerCli cli(dbg, platform.machine(), out);
+    return run_demo(cli, out) ? 0 : 1;
   }
+  debug::DebuggerCli cli(dbg, platform.machine(), std::cout);
   cli.run(std::cin, /*echo=*/false);
   return 0;
 }

@@ -55,7 +55,10 @@ class SnapshotWriter {
   // v2: PIC ack counters, UART byte counters, Lvmm interrupt-delivery spans.
   // v3: IRQ-perturbation section (kIrqPerturb), external-contents PhysMem
   //     framing for COW delta checkpoints.
-  static constexpr u32 kVersion = 4;
+  // v5: kLvmm and kShadowMmu drop the debugger's write watchpoints (watch
+  //     ranges, last hit, watched pages); they are the CPU's host-side
+  //     debug state now, which no snapshot carries.
+  static constexpr u32 kVersion = 5;
 
   SnapshotWriter();
 

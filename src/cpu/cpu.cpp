@@ -153,10 +153,13 @@ void Cpu::step_at(PAddr pa, u32 pc0) {
     return;
   }
   if (halted_) return;
-  // Single-step traps: reported after the instruction completes, with the
-  // resume point at the next instruction. The guest's own TF trap goes
-  // first; a monitor step request then stops wherever that left the guest.
-  if (tf_pending) raise(Fault::db(), st_.pc);
+  // Traps reported after the instruction completes, with the resume point
+  // at the next instruction. The guest's own TF trap goes first, then a
+  // watch its store hit; a monitor step request then stops wherever those
+  // left the guest.
+  const u32 resume = st_.pc;
+  if (tf_pending) raise(Fault::db(), resume);
+  if (watch_pending_) raise_watch_hit(resume);
   if (debug_step_) {
     debug_step_ = false;
     raise(Fault::monitor(kVecDebug), st_.pc);
@@ -179,6 +182,39 @@ void Cpu::disarm_breakpoint(PAddr pa) {
 bool Cpu::breakpoint_armed(PAddr pa) const {
   return std::find(breakpoints_.begin(), breakpoints_.end(), pa) !=
          breakpoints_.end();
+}
+
+bool Cpu::arm_watchpoint(VAddr va, u32 len) {
+  if (len == 0 || len - 1 > ~va) return false;  // empty, or wraps past 2^32
+  watches_.push_back({va, len});
+  return true;
+}
+
+bool Cpu::disarm_watchpoint(VAddr va, u32 len) {
+  const auto it =
+      std::find_if(watches_.begin(), watches_.end(), [&](const WatchRange& w) {
+        return w.va == va && w.len == len;
+      });
+  if (it == watches_.end()) return false;
+  watches_.erase(it);
+  return true;
+}
+
+void Cpu::note_watched_store(VAddr va, unsigned size, u32 value) {
+  for (const WatchRange& w : watches_) {
+    if (va - w.va < w.len || w.va - va < size) {
+      const u32 stored = size == 4 ? value : value & ((1u << (8 * size)) - 1);
+      watch_hit_ = {std::max(va, w.va), stored, size, 0};
+      watch_pending_ = true;
+      return;
+    }
+  }
+}
+
+void Cpu::raise_watch_hit(u32 resume_pc) {
+  watch_pending_ = false;
+  watch_hit_.pc = resume_pc;
+  raise(Fault::watch(), st_.pc);
 }
 
 void Cpu::invalidate_code_page(PAddr pa) {
@@ -488,6 +524,10 @@ __attribute__((flatten)) bool Cpu::exec_block(const CachedBlock& blk,
         const u32 resume =
             er.fault.kind == EventKind::kSoftInt ? pc + kInstrBytes : pc;
         raise(er.fault, resume);
+        return false;
+      }
+      if (watch_pending_) {
+        raise_watch_hit(st_.pc);
         return false;
       }
     }
@@ -1175,6 +1215,10 @@ dispatch_loop:
       raise(er.fault, resume);
       return {};
     }
+    if (watch_pending_) {
+      raise_watch_hit(st_.pc);
+      return {};
+    }
     reload();  // pc now committed by execute(); icount includes this instr
     // A generic op may have written memory (Call pushes, St stores...), so
     // the "nothing since the entry guard could touch code pages" premise of
@@ -1397,11 +1441,13 @@ bool Cpu::deliver_event(const Fault& f, u32 resume_pc) {
                : (target == kRing0 ? st_.cr[kCrMonitorSp]
                                    : st_.cr[kCrKernelSp]);
   const u32 old_sp = st_.sp();
-  if (!push32(old_sp, sp, target, mf) || !push32(st_.psw, sp, target, mf) ||
-      !push32(resume_pc, sp, target, mf) ||
-      !push32(f.errcode, sp, target, mf)) {
-    return escalate();
-  }
+  // The frame is the CPU's own store, not a guest store: no watch sees it.
+  auto watches = std::exchange(watches_, {});
+  const bool pushed =
+      push32(old_sp, sp, target, mf) && push32(st_.psw, sp, target, mf) &&
+      push32(resume_pc, sp, target, mf) && push32(f.errcode, sp, target, mf);
+  watches_ = std::move(watches);
+  if (!pushed) return escalate();
 
   // --- commit ---
   st_.regs[kSp] = sp;
@@ -1452,6 +1498,7 @@ bool Cpu::mem_write(VAddr va, unsigned size, u32 value, Fault& fault, u8 cpl) {
     case 2: mem_.write16(tr.pa, static_cast<u16>(value)); break;
     default: mem_.write32(tr.pa, value); break;
   }
+  if (!watches_.empty()) note_watched_store(va, size, value);
   return true;
 }
 

@@ -1,8 +1,9 @@
 // The VX32 interpreter: fetch/decode/execute with a predecoded basic-block
 // fast path (see block_cache.h and DESIGN.md "Interpreter fast path"), trap
 // and interrupt delivery, the trap hook a VMM installs to intercept events,
-// the monitor's debug state (breakpoints and single step kept outside guest
-// state), and the I/O permission bitmap that implements device passthrough.
+// the monitor's debug state (breakpoints, write watchpoints and single step,
+// all kept outside guest state), and the I/O permission bitmap that
+// implements device passthrough.
 #pragma once
 
 #include <array>
@@ -159,16 +160,35 @@ class Cpu {
 
   // --- monitor debug state ---
   /// Debugger state a monitor forces on the guest without touching guest
-  /// memory or the guest PSW: the role DR0-DR3 (resumed with EFLAGS.RF)
-  /// and the monitor trap flag play for a ring-0 monitor. Reaching an
-  /// armed physical address raises #BP before the instruction is fetched;
-  /// a step request raises #DB once the next instruction completes. Both
-  /// arrive at the trap hook as EventKind::kMonitor, so they need one
-  /// installed. This is host state like the kill switches: snapshots never
-  /// carry it and restore leaves it alone. With nothing armed or requested
-  /// every tier runs exactly as without a debugger.
+  /// memory, the guest PSW or its page tables: the role DR0-DR3 (resumed
+  /// with EFLAGS.RF) and the monitor trap flag play for a ring-0 monitor.
+  /// Reaching an armed physical address raises #BP before the instruction
+  /// is fetched; a guest store that overlaps an armed guest-virtual watch
+  /// range retires, then raises #DB (Fault::watch); a step request raises
+  /// #DB once the next instruction completes. All arrive at the trap hook
+  /// as EventKind::kMonitor, so they need one installed. This is host state
+  /// like the kill switches: snapshots never carry it and restore leaves it
+  /// alone. With nothing armed or requested every tier runs exactly as
+  /// without a debugger, and a watch that never hits costs nothing either.
   void arm_breakpoint(PAddr pa);
   void disarm_breakpoint(PAddr pa);
+  /// Watches guest-virtual [va, va+len) for writes by guest store
+  /// instructions (st8/16/32, push, call, callr), in every tier and with or
+  /// without guest paging. Frames the CPU pushes to deliver an event are
+  /// not guest stores. False for an empty range or one that wraps past
+  /// 2^32.
+  bool arm_watchpoint(VAddr va, u32 len);
+  /// Drops one armed range equal to [va, va+len); false when none is.
+  bool disarm_watchpoint(VAddr va, u32 len);
+  std::size_t watchpoint_count() const { return watches_.size(); }
+  /// The most recent watch hit (post-write: the value is already stored).
+  struct WatchHit {
+    VAddr va = 0;       // first watched byte the store touched
+    u32 value = 0;      // value stored, truncated to the store's width
+    unsigned size = 0;  // store width in bytes
+    u32 pc = 0;         // pc after the store, where the guest resumes
+  };
+  const WatchHit& last_watch_hit() const { return watch_hit_; }
   void set_debug_step(bool on) { debug_step_ = on; }
   /// One-shot: the next instruction runs even if it is an armed breakpoint
   /// at the current pc, so resuming from a stop does not re-report it.
@@ -310,6 +330,15 @@ class Cpu {
   void set_flags_logic(u32 r);
 
   bool breakpoint_armed(PAddr pa) const;
+  /// Records a completed store that overlaps an armed watch range. Out of
+  /// line, like raise_watch_hit: the flattened block tiers keep only the
+  /// checks that guard them.
+  __attribute__((noinline, cold)) void note_watched_store(VAddr va,
+                                                          unsigned size,
+                                                          u32 value);
+  /// Raises Fault::watch() for the hit a just-retired store left pending
+  /// (watch_pending_), recording `resume_pc` as where the guest resumes.
+  __attribute__((noinline, cold)) void raise_watch_hit(u32 resume_pc);
   /// Drops both tiers' blocks on `pa`'s page, so they are decoded again
   /// around a changed breakpoint set.
   void invalidate_code_page(PAddr pa);
@@ -341,6 +370,13 @@ class Cpu {
   /// Monitor debug state (see arm_breakpoint); a handful of entries at most.
   std::vector<PAddr> breakpoints_;  // snap:skip(host debug state, DR0-DR3)
   bool debug_step_ = false;  // snap:skip(host debug state, monitor trap flag)
+  struct WatchRange {
+    VAddr va;
+    u32 len;
+  };
+  std::vector<WatchRange> watches_;  // snap:skip(host debug state, DR0-DR3)
+  WatchHit watch_hit_{};  // snap:skip(host debug state, DR6 analog)
+  bool watch_pending_ = false;  // snap:skip(transient; raised at retire)
   /// Never a fetchable pc (misaligned), so it matches nothing.
   static constexpr u32 kNoResume = ~u32{0};
   u32 resume_pc_ = kNoResume;  // snap:skip(host one-shot, EFLAGS.RF analog)

@@ -14,9 +14,13 @@ enum class EventKind : u8 {
   kSoftInt,    // INT n instruction
   kExternal,   // interrupt request from the PIC
   kMonitor,    // the monitor's own debug state fired (Cpu::arm_breakpoint,
-               // Cpu::set_debug_step): never the guest's to see, so it
-               // reaches only a trap hook
+               // Cpu::arm_watchpoint, Cpu::set_debug_step): never the
+               // guest's to see, so it reaches only a trap hook
 };
+
+/// Error code of a monitor #DB raised by a watched store (Fault::watch), in
+/// the role of DR6's B0-B3 bits; a step request's #DB carries 0.
+inline constexpr u32 kDbWatchHit = 1;
 
 struct Fault {
   u8 vector = 0;
@@ -36,6 +40,10 @@ struct Fault {
   /// Monitor-owned #BP (armed breakpoint) or #DB (step request).
   static Fault monitor(u8 vector) {
     return {vector, 0, 0, EventKind::kMonitor};
+  }
+  /// Monitor-owned #DB after a store that hit an armed watch range.
+  static Fault watch() {
+    return {kVecDebug, kDbWatchHit, 0, EventKind::kMonitor};
   }
 };
 

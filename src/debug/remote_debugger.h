@@ -97,7 +97,9 @@ class RemoteDebugger {
   // --- breakpoints & run control ---
   bool set_breakpoint(u32 addr);
   bool clear_breakpoint(u32 addr);
-  /// Write watchpoint over [addr, addr+len) (stub Z2; shadow-paging based).
+  /// Write watchpoint over guest-virtual [addr, addr+len) (stub Z2; armed in
+  /// the target CPU's debug state, so it costs the guest nothing until a
+  /// store hits it). False for a range that wraps past 2^32.
   bool set_watchpoint(u32 addr, u32 len = 4);
   bool clear_watchpoint(u32 addr, u32 len = 4);
 

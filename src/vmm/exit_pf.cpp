@@ -1,10 +1,7 @@
-// Page-fault exits: shadow-paging sync, emulated guest page-table writes,
-// and write-watchpoints. The faulting store is decoded at most once per
-// exit (decode_faulting_store caches the decode in the ExitContext).
+// Page-fault exits: shadow-paging sync and emulated guest page-table
+// writes. The faulting store is decoded at most once per exit
+// (decode_faulting_store caches the decode in the ExitContext).
 #include "vmm/lvmm.h"
-
-#include <algorithm>
-#include <set>
 
 namespace vdbg::vmm {
 
@@ -35,15 +32,6 @@ void Lvmm::handle_page_fault(ExitContext& ctx) {
         return;
       }
       handle_pt_write(out.target_pa, store);
-      return;
-    }
-    case ShadowMmu::FaultOutcome::kWatchWrite: {
-      StoreInfo store;
-      if (!decode_faulting_store(ctx, store)) {
-        guest_crash();
-        return;
-      }
-      handle_watch_write(f, store);
       return;
     }
     case ShadowMmu::FaultOutcome::kReflect:
@@ -82,73 +70,6 @@ void Lvmm::handle_pt_write(PAddr target_pa, const StoreInfo& store) {
   charge(cfg_.costs.pt_write_emulate);
   ++stats_.pt_writes;
   trace(TraceKind::kPtWrite, 0, 0, target_pa);
-}
-
-void Lvmm::handle_watch_write(const Fault& f, const StoreInfo& store) {
-  // Emulate the store (post-write watch semantics, as GDB reports), then
-  // either notify the debugger (range hit) or resume silently (same page,
-  // unwatched bytes).
-  auto& s = st();
-  PAddr pa = 0;
-  if (!guest_va_to_pa(store.ea, /*write=*/true, pa)) {
-    reflect(Fault::pf(store.ea, f.errcode), s.pc);
-    return;
-  }
-  shadow_->pt_write(pa, store.size, store.value);  // invalidates PT frames
-  machine_.cpu().mmu().flush_tlb();
-  s.pc += cpu::kInstrBytes;
-  charge(cfg_.costs.pt_write_emulate);
-
-  for (const auto& w : watches_) {
-    if (store.ea < w.va + w.len && w.va < store.ea + store.size) {
-      watch_hit_ =
-          WatchHit{std::max(store.ea, w.va), store.value, store.size, s.pc};
-      if (debug_) {
-        freeze_guest(DebugDelegate::StopReason::kWatchpoint);
-      }
-      return;
-    }
-  }
-  // Unwatched bytes of a watched page: silent single-store emulation.
-}
-
-// charge:exempt(debugger bookkeeping, not a guest exit path)
-void Lvmm::sync_watch_pages() {
-  std::set<u32> vpns;
-  for (const auto& w : watches_) {
-    for (u32 vpn = w.va >> cpu::kPageBits;
-         vpn <= (w.va + w.len - 1) >> cpu::kPageBits; ++vpn) {
-      vpns.insert(vpn);
-    }
-  }
-  // Remove stale pages, add new ones.
-  for (u32 vpn = 0; vpn < (cfg_.guest_mem_limit >> cpu::kPageBits); ++vpn) {
-    const bool want = vpns.count(vpn) != 0;
-    const bool have = shadow_->is_watched_vpn(vpn);
-    if (want && !have) shadow_->add_watch_page(vpn);
-    if (!want && have) shadow_->remove_watch_page(vpn);
-  }
-  machine_.cpu().mmu().flush_tlb();
-}
-
-// charge:exempt(debugger API, not a guest exit path)
-bool Lvmm::add_watchpoint(VAddr va, u32 len) {
-  if (!vcpu_.paging_enabled() || len == 0) return false;
-  watches_.push_back({va, len});
-  sync_watch_pages();
-  return true;
-}
-
-// charge:exempt(debugger API, not a guest exit path)
-bool Lvmm::remove_watchpoint(VAddr va, u32 len) {
-  for (auto it = watches_.begin(); it != watches_.end(); ++it) {
-    if (it->va == va && it->len == len) {
-      watches_.erase(it);
-      sync_watch_pages();
-      return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace vdbg::vmm

@@ -1,11 +1,11 @@
 // The monitor's guest-memory access layer.
 //
 // Every monitor-side access to guest memory — vIDT gate reads, injection
-// frame pushes, IRET frame reads, debug-stub m/M commands, watchpoint
-// emulation — goes through this class instead of re-walking the guest's
-// page tables per access. Translations are served from a small software
-// translation cache (the "vTLB"), a direct-mapped table keyed by virtual
-// page number, mirroring the hardware TLB in cpu/mmu.h.
+// frame pushes, IRET frame reads, debug-stub m/M commands — goes through
+// this class instead of re-walking the guest's page tables per access.
+// Translations are served from a small software translation cache (the
+// "vTLB"), a direct-mapped table keyed by virtual page number, mirroring
+// the hardware TLB in cpu/mmu.h.
 //
 // Invalidation is precise and follows hardware TLB semantics (DESIGN.md,
 // "Monitor hot path"):

@@ -239,8 +239,9 @@ void Lvmm::classify_exit(ExitContext& ctx) {
     return;
   }
   if (f.kind == cpu::EventKind::kMonitor) {
-    // The debugger's own breakpoint or step request; a guest BRK or TF
-    // trap is a plain exception and reflects below like any other.
+    // The debugger's own breakpoint, watch hit or step request (a watch
+    // hit is a #DB like a step, told apart by its errcode); a guest BRK or
+    // TF trap is a plain exception and reflects below like any other.
     ctx.kind = f.vector == cpu::kVecBreakpoint ? ExitKind::kBreakpoint
                                                : ExitKind::kStep;
     return;
@@ -295,7 +296,9 @@ void Lvmm::dispatch_exit(ExitContext& ctx) {
       freeze_guest(DebugDelegate::StopReason::kBreakpoint);
       return;
     case ExitKind::kStep:
-      freeze_guest(DebugDelegate::StopReason::kStep);
+      freeze_guest(f.errcode == cpu::kDbWatchHit
+                       ? DebugDelegate::StopReason::kWatchpoint
+                       : DebugDelegate::StopReason::kStep);
       return;
     case ExitKind::kInterrupt:  // external interrupts never route here
     case ExitKind::kOther:
@@ -375,13 +378,6 @@ void Lvmm::resume_guest() {
   try_inject();
 }
 
-std::vector<std::pair<VAddr, u32>> Lvmm::watchpoint_list() const {
-  std::vector<std::pair<VAddr, u32>> out;
-  out.reserve(watches_.size());
-  for (const auto& w : watches_) out.emplace_back(w.va, w.len);
-  return out;
-}
-
 // charge:covered(terminal; the guest freezes for good, accounting is moot)
 void Lvmm::guest_crash() {
   trace(TraceKind::kGuestCrash, 0, 0, 0);
@@ -423,15 +419,6 @@ void Lvmm::save(SnapshotWriter& w) const {
 
   w.put_u64(masked_pending_.size());
   for (unsigned irq : masked_pending_) w.put_u32(irq);
-  w.put_u64(watches_.size());
-  for (const WatchRange& wr : watches_) {
-    w.put_u32(wr.va);
-    w.put_u32(wr.len);
-  }
-  w.put_u32(watch_hit_.va);
-  w.put_u32(watch_hit_.value);
-  w.put_u32(watch_hit_.size);
-  w.put_u32(watch_hit_.pc);
   w.put_bool(frozen_);
 
   for (const IrqSpan& sp : irq_spans_) {
@@ -497,18 +484,6 @@ bool Lvmm::restore(SnapshotReader& r) {
   for (u64 i = 0; i < nmasked && r.ok(); ++i) {
     masked_pending_.insert(r.get_u32());
   }
-  watches_.clear();
-  const u64 nwatch = r.get_u64();
-  for (u64 i = 0; i < nwatch && r.ok(); ++i) {
-    WatchRange wr{};
-    wr.va = r.get_u32();
-    wr.len = r.get_u32();
-    watches_.push_back(wr);
-  }
-  watch_hit_.va = r.get_u32();
-  watch_hit_.value = r.get_u32();
-  watch_hit_.size = r.get_u32();
-  watch_hit_.pc = r.get_u32();
   frozen_ = r.get_bool();
 
   for (IrqSpan& sp : irq_spans_) {

@@ -17,7 +17,7 @@
 // instruction at most once per exit — then dispatches to a per-kind handler
 // and records the exit's cycle cost in VmExitStats. The handlers live in
 // per-kind source files: exit_priv.cpp (privileged instructions),
-// exit_io.cpp (trapped ports), exit_pf.cpp (shadow paging + watchpoints),
+// exit_io.cpp (trapped ports), exit_pf.cpp (shadow paging),
 // exit_inject.cpp (vIDT injection, reflection, IRET).
 //
 // Guest memory is accessed through the GuestMemory layer (guest_mem.h),
@@ -32,7 +32,6 @@
 #include <functional>
 #include <memory>
 #include <set>
-#include <vector>
 
 #include "common/metrics.h"
 #include "cpu/cpu.h"
@@ -47,9 +46,10 @@
 namespace vdbg::vmm {
 
 /// Debugger-facing callbacks. The RSP stub implements this; a monitor with
-/// no delegate reports crashes only via VcpuState::crashed. Breakpoints and
-/// single steps are the CPU's monitor debug state (Cpu::arm_breakpoint), so
-/// a BRK or TF the guest uses itself always reflects to the guest.
+/// no delegate reports crashes only via VcpuState::crashed. Breakpoints,
+/// write watchpoints and single steps are the CPU's monitor debug state
+/// (Cpu::arm_breakpoint, Cpu::arm_watchpoint), so a BRK or TF the guest
+/// uses itself always reflects to the guest.
 class DebugDelegate {
  public:
   virtual ~DebugDelegate() = default;
@@ -141,23 +141,6 @@ class Lvmm : public cpu::TrapHook {
   void resume_guest();
   bool guest_frozen() const { return frozen_; }
 
-  // --- data watchpoints (write), built on shadow paging ---
-  /// Watches guest-virtual [va, va+len). Requires guest paging enabled
-  /// (MiniTactix enables it at boot); returns false otherwise.
-  bool add_watchpoint(VAddr va, u32 len);
-  bool remove_watchpoint(VAddr va, u32 len);
-  struct WatchHit {
-    VAddr va = 0;   // first watched byte touched
-    u32 value = 0;  // value stored
-    unsigned size = 0;
-    u32 pc = 0;     // pc of the store (already advanced past it)
-  };
-  const WatchHit& last_watch_hit() const { return watch_hit_; }
-  std::size_t watchpoint_count() const { return watches_.size(); }
-  /// Snapshot of the active watch ranges, for reconciliation after a
-  /// time-travel restore (the restored set reflects checkpoint time).
-  std::vector<std::pair<VAddr, u32>> watchpoint_list() const;
-
   /// True while the monitor's private memory is uncorrupted (canary page).
   bool monitor_memory_intact() const;
 
@@ -184,11 +167,11 @@ class Lvmm : public cpu::TrapHook {
 
   // --- snapshot support ---
   /// Serialises monitor state on top of Machine::save: vCPU, exit stats,
-  /// virtual PIC, pending-masked IRQ set, watchpoints, freeze flag, shadow
-  /// bookkeeping and the vTLB. The snapshot must be restored onto an
-  /// installed monitor with the same configuration (the frame layout is
-  /// fixed at construction). The debug delegate and tracer are host wiring
-  /// and are untouched.
+  /// virtual PIC, pending-masked IRQ set, freeze flag, shadow bookkeeping
+  /// and the vTLB. The snapshot must be restored onto an installed monitor
+  /// with the same configuration (the frame layout is fixed at
+  /// construction). The debug delegate and tracer are host wiring and are
+  /// untouched.
   void save(SnapshotWriter& w) const;
   bool restore(SnapshotReader& r);
 
@@ -219,7 +202,7 @@ class Lvmm : public cpu::TrapHook {
     cpu::Instr instr{};
     bool have_instr = false;
   };
-  /// A faulting store decoded for emulation (PT writes, watchpoints).
+  /// A faulting store decoded for emulation (guest page-table writes).
   struct StoreInfo {
     unsigned size = 0;
     u32 value = 0;
@@ -238,9 +221,7 @@ class Lvmm : public cpu::TrapHook {
   void emulate_guest_iret();
   void handle_page_fault(ExitContext& ctx);
   void handle_pt_write(PAddr target_pa, const StoreInfo& store);
-  void handle_watch_write(const cpu::Fault& f, const StoreInfo& store);
   bool decode_faulting_store(ExitContext& ctx, StoreInfo& out);
-  void sync_watch_pages();
 
   /// Injects an event through the guest's virtual IDT. `resume_pc` is the
   /// return address pushed in the frame.
@@ -276,12 +257,6 @@ class Lvmm : public cpu::TrapHook {
   std::set<unsigned> masked_pending_;
   DebugDelegate* debug_ = nullptr;   // snap:skip(host debugger wiring)
   ExitTracer* tracer_ = nullptr;     // snap:skip(host tracer wiring)
-  struct WatchRange {
-    VAddr va;
-    u32 len;
-  };
-  std::vector<WatchRange> watches_;
-  WatchHit watch_hit_{};
   bool frozen_ = false;
 
   /// One in-flight delivery span per IRQ line.

@@ -178,12 +178,6 @@ ShadowMmu::FaultOutcome ShadowMmu::handle_fault(u32 vcr3, VAddr va,
     return out;
   }
 
-  const u32 vpn = va >> kPageBits;
-  if (write && watched_vpns_.count(vpn)) {
-    out.kind = FaultOutcome::kWatchWrite;
-    out.target_pa = w.pa;
-    return out;
-  }
   if (write && is_pt_frame(frame)) {
     out.kind = FaultOutcome::kPtWrite;
     out.target_pa = w.pa;
@@ -204,7 +198,6 @@ ShadowMmu::FaultOutcome ShadowMmu::handle_fault(u32 vcr3, VAddr va,
   // always read-only in the shadow.
   bool shadow_w = w.writable && (write || (w.pte & Pte::kD));
   if (is_pt_frame(frame)) shadow_w = false;
-  if (watched_vpns_.count(va >> kPageBits)) shadow_w = false;
   if (install(va, frame, shadow_w, w.user)) {
     ++syncs_;
   }
@@ -246,8 +239,6 @@ void ShadowMmu::save(SnapshotWriter& w) const {
     w.put_u64(owners.size());
     for (u32 o : owners) w.put_u32(o);
   }
-  w.put_u64(watched_vpns_.size());
-  for (u32 vpn : watched_vpns_) w.put_u32(vpn);
   w.put_u64(syncs_);
   w.put_u64(flushes_);
   w.put_u64(pt_invals_);
@@ -263,9 +254,6 @@ void ShadowMmu::restore(SnapshotReader& r) {
     const u64 nowners = r.get_u64();
     for (u64 j = 0; j < nowners && r.ok(); ++j) owners.insert(r.get_u32());
   }
-  watched_vpns_.clear();
-  const u64 nwatch = r.get_u64();
-  for (u64 i = 0; i < nwatch && r.ok(); ++i) watched_vpns_.insert(r.get_u32());
   syncs_ = r.get_u64();
   flushes_ = r.get_u64();
   pt_invals_ = r.get_u64();

@@ -16,6 +16,8 @@
 // write fault sets the guest PTE's D bit and upgrades the shadow entry.
 // Guest page-table frames are write-protected in the shadow; writes to them
 // are emulated by the monitor and the derived shadow entries invalidated.
+// Nothing is write-protected for the debugger: its write watchpoints are
+// the CPU's own debug state (Cpu::arm_watchpoint).
 #pragma once
 
 #include <map>
@@ -80,7 +82,6 @@ class ShadowMmu {
     enum Kind {
       kSynced,     // hidden fault: shadow updated, restart the instruction
       kPtWrite,    // write hit a protected guest PT frame: emulate the store
-      kWatchWrite, // write hit a watched page: emulate + notify debugger
       kReflect,    // genuine guest fault: inject #PF with guest_errcode
     } kind = kReflect;
     u32 guest_errcode = 0;
@@ -98,17 +99,6 @@ class ShadowMmu {
     return pt_frames_.count(pa & cpu::Pte::kFrameMask) != 0;
   }
 
-  // --- debugger watchpoints: whole virtual pages shadowed read-only ---
-  void add_watch_page(u32 vpn) {
-    watched_vpns_.insert(vpn);
-    clear_shadow_pte(vpn << cpu::kPageBits);  // force a refault
-  }
-  void remove_watch_page(u32 vpn) {
-    watched_vpns_.erase(vpn);
-    clear_shadow_pte(vpn << cpu::kPageBits);
-  }
-  bool is_watched_vpn(u32 vpn) const { return watched_vpns_.count(vpn) != 0; }
-
   // --- statistics ---
   u64 syncs() const { return syncs_; }
   u64 flushes() const { return flushes_; }
@@ -118,9 +108,9 @@ class ShadowMmu {
   /// Snapshot support. The table contents themselves live in PhysMem (the
   /// monitor pool frames) and roll back with it; this serialises only the
   /// bookkeeping derived alongside them: pool allocation cursor, the
-  /// registered PT-frame map, watched pages and counters. The frame layout
-  /// (identity PD, shadow PD, pool base) is fixed at construction and must
-  /// match between save and restore.
+  /// registered PT-frame map and counters. The frame layout (identity PD,
+  /// shadow PD, pool base) is fixed at construction and must match between
+  /// save and restore.
   void save(SnapshotWriter& w) const;
   void restore(SnapshotReader& r);
 
@@ -148,8 +138,6 @@ class ShadowMmu {
   /// guest PT frame -> PD indices whose PDE points at it; index 0xffffffff
   /// marks the page-directory frame itself.
   std::map<PAddr, std::set<u32>> pt_frames_;
-  /// Virtual page numbers with debugger write-watchpoints.
-  std::set<u32> watched_vpns_;
 
   u64 syncs_ = 0;
   u64 flushes_ = 0;

@@ -36,20 +36,21 @@ void DebugStub::attach() {
 
 void DebugStub::on_guest_stop(StopReason reason) {
   stopped_ = true;
+  report_stop(stop_reply(reason));
+}
+
+std::string DebugStub::stop_reply(StopReason reason) const {
   switch (reason) {
     case StopReason::kCrash:
-      report_stop("S0b");
-      return;
+      return "S0b";
     case StopReason::kWatchpoint: {
       char buf[32];
       std::snprintf(buf, sizeof buf, "T05watch:%x;",
-                    mon_.last_watch_hit().va);
-      report_stop(buf);
-      return;
+                    mon_.machine().cpu().last_watch_hit().va);
+      return buf;
     }
     default:  // breakpoint, completed step, break-in
-      report_stop("S05");
-      return;
+      return "S05";
   }
 }
 
@@ -248,21 +249,7 @@ void DebugStub::do_reverse(bool is_continue) {
   }
   // Landed frozen somewhere in the past: report it like a live stop.
   stopped_ = true;
-  switch (r.reason) {
-    case StopReason::kWatchpoint: {
-      char buf[32];
-      std::snprintf(buf, sizeof buf, "T05watch:%x;",
-                    mon_.last_watch_hit().va);
-      send_packet(buf);
-      return;
-    }
-    case StopReason::kCrash:
-      send_packet("S0b");
-      return;
-    default:
-      send_packet("S05");
-      return;
-  }
+  send_packet(stop_reply(r.reason));
 }
 
 }  // namespace vdbg::vmm

@@ -5,14 +5,21 @@
 // owns), executes them against the guest (memory/register access,
 // breakpoints, single-stepping, run control), and reports stop events — all
 // without any cooperation from the OS under debug, and surviving arbitrary
-// guest misbehaviour. Breakpoints and steps live in the CPU's monitor debug
-// state (Cpu::arm_breakpoint, Cpu::set_debug_step), never in guest memory
-// or the guest PSW, so the guest cannot see them: `m` reads back the real
-// bytes, and snapshots, checkpoints and forks carry none of it.
+// guest misbehaviour. Breakpoints, write watchpoints and steps live in the
+// CPU's monitor debug state (Cpu::arm_breakpoint, Cpu::arm_watchpoint,
+// Cpu::set_debug_step), never in guest memory, the guest PSW or its page
+// tables, so the guest cannot see them: `m` reads back the real bytes, an
+// armed watch costs the guest no cycle until it hits, and snapshots,
+// checkpoints and forks carry none of it.
 //
 // Wire protocol: GDB remote-serial-protocol framing ($data#xx with '+'/'-'
 // acks, 0x03 break-in) and the classic command set:
 //   ?  g  G  p  P  m  M  c  s  Z0  z0  qSupported  qAttached  k
+//   Z2,<addr>,<len> / z2  -> arm / drop a write watchpoint over guest-virtual
+//                           [addr, addr+len); a hit stops with
+//                           "T05watch:<addr>;" after the store retires.
+//                           E01 for a range that is empty or wraps past
+//                           2^32, E03 for z2 of a range not armed
 // reverse execution (needs an attached TimeTravel controller):
 //   bc  bs               -> reverse continue / reverse step, reply is a
 //                           stop packet for the landing position
@@ -131,6 +138,8 @@ class DebugStub final : public DebugDelegate {
   /// traffic.
   void checkpoint_on_resume();
   void report_stop(const std::string& reply);
+  /// Stop packet for a freeze: S05, S0b (crash) or T05watch:<addr>;.
+  std::string stop_reply(StopReason reason) const;
 
   Lvmm& mon_;
   hw::Uart& uart_;

@@ -121,7 +121,8 @@ std::string DebugStub::cmd_write_memory(const std::string& args) {
 
 std::string DebugStub::cmd_breakpoint(const std::string& args, bool insert) {
   // Format: <type>,<addr>,<kind>. Type 0 = software breakpoint, type 2 =
-  // write watchpoint (kind = watched length).
+  // write watchpoint (kind = watched length). Both are the CPU's monitor
+  // debug state; nothing is written into the guest.
   if (args.size() < 2 || args[1] != ',') return "";
   const char type = args[0];
   const auto comma = args.find(',', 2);
@@ -130,6 +131,7 @@ std::string DebugStub::cmd_breakpoint(const std::string& args, bool insert) {
                                        ? std::string::npos
                                        : comma - 2));
   if (!addr) return "E01";
+  auto& cpu = mon_.machine().cpu();
 
   if (type == '2') {
     u32 len = 4;
@@ -138,13 +140,13 @@ std::string DebugStub::cmd_breakpoint(const std::string& args, bool insert) {
       if (!parsed || *parsed == 0) return "E01";
       len = *parsed;
     }
-    if (insert) return mon_.add_watchpoint(*addr, len) ? "OK" : "E03";
-    return mon_.remove_watchpoint(*addr, len) ? "OK" : "E03";
+    // A range wrapping past 2^32 could never hit.
+    if (insert) return cpu.arm_watchpoint(*addr, len) ? "OK" : "E01";
+    return cpu.disarm_watchpoint(*addr, len) ? "OK" : "E03";
   }
   if (type != '0') return "";  // other kinds unsupported
 
   if (*addr & (cpu::kInstrBytes - 1)) return "E02";  // must be aligned
-  auto& cpu = mon_.machine().cpu();
   const auto it = breakpoints_.find(*addr);
   if (insert) {
     if (it != breakpoints_.end()) return "OK";

@@ -119,41 +119,18 @@ std::vector<u8> TimeTravel::save_state() const { return serialize(); }
 
 bool TimeTravel::load_state(const std::vector<u8>& bytes) {
   const bool was_frozen = mon_.guest_frozen();
-  if (!restore_bytes(bytes)) return false;
+  Checkpoint cp;  // a full stream: no COW pages to adopt
+  cp.bytes = bytes;
+  if (!restore_checkpoint(cp)) return false;
   if (was_frozen && !mon_.guest_frozen()) {
     freeze_quietly(StopReason::kStep);
   }
   return true;
 }
 
-bool TimeTravel::restore_bytes(const std::vector<u8>& bytes) {
-  return restore_state(bytes, nullptr);
-}
-
 bool TimeTravel::restore_checkpoint(const Checkpoint& cp) {
-  return restore_state(cp.bytes, cp.mem.empty() ? nullptr : &cp.mem);
-}
-
-bool TimeTravel::restore_state(const std::vector<u8>& bytes,
-                               const cpu::CowPages* mem) {
-  // The debugger's current watch set is host truth; the snapshot carries
-  // the set as of checkpoint time. Capture the desired set first, restore,
-  // then reconcile — a no-op (no writes, no charges) when they match.
-  const auto desired = mon_.watchpoint_list();
-  SnapshotReader r(bytes);
-  if (!r.ok()) return false;
-  // Adopt the COW image before walking the stream: the stream's PhysMem
-  // section is an external-contents sentinel, and the monitor's restore
-  // may consult guest memory.
-  if (mem && !machine().mem().adopt_cow(*mem)) return false;
-  if (!machine().restore(r)) return false;
-  if (!mon_.restore(r)) return false;
+  if (!restore_checkpoint_into(machine(), &mon_, cp)) return false;
   ++stats_.restores;
-  const auto restored = mon_.watchpoint_list();
-  if (restored != desired) {
-    for (const auto& w : restored) mon_.remove_watchpoint(w.first, w.second);
-    for (const auto& w : desired) mon_.add_watchpoint(w.first, w.second);
-  }
   return true;
 }
 
@@ -271,6 +248,9 @@ bool TimeTravel::restore_checkpoint_into(hw::Machine& m, Lvmm* mon,
                                          const Checkpoint& cp) {
   SnapshotReader r(cp.bytes);
   if (!r.ok()) return false;
+  // Adopt the COW image before walking the stream: the stream's PhysMem
+  // section is an external-contents sentinel, and the monitor's restore
+  // may consult guest memory.
   if (!cp.mem.empty() && !m.mem().adopt_cow(cp.mem)) return false;
   if (!m.restore(r)) return false;
   if (mon && !mon->restore(r)) return false;

@@ -22,9 +22,11 @@
 // During replay the controller swaps itself in as the monitor's
 // DebugDelegate (resuming through intermediate stops exactly as the stub's
 // `c` does) and mutes the UART/NIC host sinks so replayed output is not
-// delivered twice. Breakpoints are the CPU's host-side debug state, which
-// no restore touches, so a replay stops at the breakpoints armed now;
-// checkpoints never hold debugger bytes. Device timing, interrupts, and
+// delivered twice. Breakpoints and write watchpoints are the CPU's
+// host-side debug state, which no restore touches, so a replay stops at the
+// breakpoints and watches armed now; checkpoints never hold debugger bytes,
+// and arming a watch that never hits leaves the replayed timeline
+// cycle-identical to the original. Device timing, interrupts, and
 // every cycle charge are unchanged — the checkpoint charge itself
 // (checkpoint_base + checkpoint_per_page x resident pages, see costs.h) is
 // a pure function of guest state at the boundary and re-applied at the same
@@ -161,8 +163,9 @@ class TimeTravel final : public DebugDelegate {
   ReverseStop reverse_continue();
 
   /// Restores `cp` into an arbitrary identically-configured machine (+
-  /// monitor when non-null) — a forked timeline adopting the checkpoint's
-  /// COW pages. Static so fork targets need not own a TimeTravel.
+  /// monitor when non-null), adopting its COW pages when it has any: the
+  /// one routine that reads a stream into a machine. Static so fork
+  /// targets need not own a TimeTravel.
   static bool restore_checkpoint_into(hw::Machine& m, Lvmm* mon,
                                       const Checkpoint& cp);
 
@@ -187,10 +190,9 @@ class TimeTravel final : public DebugDelegate {
   Checkpoint make_checkpoint(u64 ic);
   void store_checkpoint(Checkpoint cp);
   const Checkpoint* newest_at_or_below(u64 ic) const;
-  bool restore_bytes(const std::vector<u8>& bytes);
+  /// restore_checkpoint_into this machine and monitor, counted in
+  /// stats().restores.
   bool restore_checkpoint(const Checkpoint& cp);
-  /// Shared restore core: adopt `mem` (when non-null) before the stream.
-  bool restore_state(const std::vector<u8>& bytes, const cpu::CowPages* mem);
   void begin_replay();
   void end_replay();
   /// Re-runs forward to `target` retired instructions, resuming a frozen

@@ -41,7 +41,7 @@ enum class ExitKind : u8 {
   kSoftInt,         // guest INT n (syscall) injected through the vIDT
   kInterrupt,       // physical device interrupt arrival
   kBreakpoint,      // debugger-owned #BP (guest frozen)
-  kStep,            // debugger single-step #DB (guest frozen)
+  kStep,            // debugger #DB: single step or watch hit (guest frozen)
   kOther,           // reflected faults, fetch failures, unknown vectors
 };
 inline constexpr unsigned kNumExitKinds = 8;

@@ -15,7 +15,8 @@
 //  * Directed superblock cases: chain unchaining under self-modifying code
 //    and breakpoint patching, chaining across a page-boundary block cut,
 //    the generic-tail self-chain guard, and the monitor's armed
-//    breakpoints and step requests across all three tiers.
+//    breakpoints, step requests and write watchpoints across all three
+//    tiers.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -758,9 +759,10 @@ struct DebugEventHook final : cpu::TrapHook {
     u8 vector;
     cpu::EventKind kind;
     u32 pc;
+    u32 errcode;
   };
   void on_event(cpu::Cpu& c, const cpu::Fault& f) override {
-    events.push_back({f.vector, f.kind, c.state().pc});
+    events.push_back({f.vector, f.kind, c.state().pc, f.errcode});
     c.request_stop();
   }
   void on_external_interrupt(cpu::Cpu&, u8) override {}
@@ -861,6 +863,138 @@ TEST(CpuDifferential, ArmedBreakpointAndStepRequestMatchAcrossTiers) {
   EXPECT_EQ(rigs[0].reg(cpu::kR0), 100000u);
   EXPECT_EQ(rigs[0].reg(cpu::kR1), 300000u);
   EXPECT_EQ(dump_mem(rigs[0].mem), dump_mem(rigs[2].mem));
+}
+
+TEST(CpuDifferential, ArmedWatchpointMatchesAcrossTiers) {
+  // A write watch is monitor debug state as well: a store (st32, push or
+  // call) that overlaps the armed range retires, then every tier raises one
+  // monitor #DB that resumes at the next instruction, with identical state,
+  // counters and hit record. A watch on unwritten bytes of the same page
+  // raises nothing and costs no cycle, and the block tiers keep running
+  // while it is armed.
+  constexpr u32 kData = 0x8000;      // the st32 target
+  constexpr u32 kStackTop = 0x9000;  // push lands at -4, call's return at -8
+  constexpr u32 kIters = 20000;
+  auto build = [](CpuHarness& h) {
+    h.load([](Assembler& a) {
+      a.movi(cpu::kR0, u32{0});
+      a.movi(cpu::kR2, u32{kData});
+      a.movi(cpu::kSp, u32{kStackTop});
+      a.label("loop");
+      a.addi(cpu::kR0, cpu::kR0, u32{1});
+      a.st32(cpu::kR2, 0, cpu::kR0);
+      a.push(cpu::kR0);
+      a.call(l("sub"));
+      a.pop(cpu::kR1);
+      a.cmpi(cpu::kR0, u32{kIters});
+      a.jnz(l("loop"));
+      a.hlt();
+      a.label("sub");
+      a.addi(cpu::kR3, cpu::kR3, u32{1});
+      a.ret();
+    });
+  };
+
+  std::array<CpuHarness, 3> rigs;  // superblock, block cache, interpreter
+  std::array<DebugEventHook, 3> hooks;
+  for (unsigned i = 0; i < 3; ++i) {
+    build(rigs[i]);
+    rigs[i].cpu.set_trap_hook(&hooks[i]);
+  }
+  rigs[1].cpu.set_superblocks_enabled(false);
+  rigs[2].cpu.set_block_cache_enabled(false);
+  auto expect_same = [&](const char* where) {
+    const auto& hit0 = rigs[0].cpu.last_watch_hit();
+    for (unsigned i = 1; i < 3; ++i) {
+      EXPECT_EQ(rigs[i].cpu.state().pc, rigs[0].cpu.state().pc) << where;
+      EXPECT_EQ(rigs[i].cpu.state().psw, rigs[0].cpu.state().psw) << where;
+      EXPECT_EQ(rigs[i].cpu.state().regs, rigs[0].cpu.state().regs) << where;
+      EXPECT_EQ(rigs[i].cpu.cycles(), rigs[0].cpu.cycles()) << where;
+      EXPECT_EQ(rigs[i].cpu.stats().instructions,
+                rigs[0].cpu.stats().instructions)
+          << where;
+      EXPECT_EQ(rigs[i].cpu.stats().mem_accesses,
+                rigs[0].cpu.stats().mem_accesses)
+          << where;
+      EXPECT_EQ(hooks[i].events.size(), hooks[0].events.size()) << where;
+      const auto& hit = rigs[i].cpu.last_watch_hit();
+      EXPECT_EQ(hit.va, hit0.va) << where;
+      EXPECT_EQ(hit.value, hit0.value) << where;
+      EXPECT_EQ(hit.size, hit0.size) << where;
+      EXPECT_EQ(hit.pc, hit0.pc) << where;
+    }
+  };
+
+  // Get the loop hot and chained before arming.
+  for (auto& r : rigs) ASSERT_EQ(r.cpu.run(3000), cpu::RunExit::kBudget);
+  ASSERT_GT(rigs[0].cpu.sbc_stats().chains, 0u);
+  expect_same("warm");
+
+  const u32 loop = rigs[0].prog.symbol("loop").value();
+  const u32 sub = rigs[0].prog.symbol("sub").value();
+  const u32 after_call = loop + 4 * cpu::kInstrBytes;  // the pop
+  struct Case {
+    const char* store;
+    VAddr va;       // the word it writes
+    u32 resume_pc;  // where its hit stops
+  };
+  // In this order each hit is reached by running on from the previous one.
+  const Case cases[] = {
+      {"st32", kData, loop + 2 * cpu::kInstrBytes},  // stops at the push
+      {"call", kStackTop - 8, sub},                  // stops at the target
+      {"push", kStackTop - 4, loop + 3 * cpu::kInstrBytes},  // at the call
+  };
+  for (const Case& c : cases) {
+    for (auto& r : rigs) {
+      ASSERT_TRUE(r.cpu.arm_watchpoint(c.va, 4));
+      ASSERT_EQ(r.cpu.run(100000), cpu::RunExit::kStopRequested) << c.store;
+    }
+    expect_same(c.store);
+    for (const DebugEventHook& h : hooks) {
+      ASSERT_EQ(h.events.size(), 1u) << c.store;
+      EXPECT_EQ(h.events[0].vector, cpu::kVecDebug) << c.store;
+      EXPECT_EQ(h.events[0].kind, cpu::EventKind::kMonitor) << c.store;
+      EXPECT_EQ(h.events[0].errcode, cpu::kDbWatchHit) << c.store;
+      EXPECT_EQ(h.events[0].pc, c.resume_pc) << c.store;
+    }
+    const auto& hit = rigs[0].cpu.last_watch_hit();
+    EXPECT_EQ(hit.va, c.va) << c.store;
+    EXPECT_EQ(hit.size, 4u) << c.store;
+    EXPECT_EQ(hit.pc, c.resume_pc) << c.store;
+    // Post-write: the stored value is already in memory.
+    EXPECT_EQ(rigs[0].mem.read32(c.va), hit.value) << c.store;
+    for (unsigned i = 0; i < 3; ++i) {
+      ASSERT_TRUE(rigs[i].cpu.disarm_watchpoint(c.va, 4));
+      hooks[i].events.clear();
+    }
+  }
+  EXPECT_EQ(rigs[0].mem.read32(kStackTop - 8), after_call);
+
+  // Unwritten bytes of the same page: the loop runs out with no event, in
+  // the block tiers, and the earlier stops left no trace in simulated time.
+  const auto sbc_entries = [&] {
+    return rigs[0].cpu.sbc_stats().hits + rigs[0].cpu.sbc_stats().chains;
+  };
+  const u64 sbc_before = sbc_entries();
+  const u64 blocks_before = rigs[1].cpu.stats().block_hits;
+  for (auto& r : rigs) {
+    ASSERT_TRUE(r.cpu.arm_watchpoint(kData + 0x800, 4));
+    ASSERT_EQ(r.cpu.run(100'000'000), cpu::RunExit::kHalted);
+  }
+  expect_same("halt");
+  for (const DebugEventHook& h : hooks) EXPECT_TRUE(h.events.empty());
+  EXPECT_GT(sbc_entries(), sbc_before);
+  EXPECT_GT(rigs[1].cpu.stats().block_hits, blocks_before);
+  EXPECT_EQ(rigs[0].reg(cpu::kR3), kIters);
+
+  CpuHarness plain;  // the same program, never watched
+  build(plain);
+  ASSERT_EQ(plain.cpu.run(100'000'000), cpu::RunExit::kHalted);
+  EXPECT_EQ(rigs[0].cpu.cycles(), plain.cpu.cycles());
+  EXPECT_EQ(rigs[0].cpu.stats().instructions, plain.cpu.stats().instructions);
+  EXPECT_EQ(rigs[0].cpu.stats().mem_accesses, plain.cpu.stats().mem_accesses);
+  EXPECT_EQ(rigs[0].cpu.state().regs, plain.cpu.state().regs);
+  EXPECT_EQ(dump_mem(rigs[0].mem), dump_mem(plain.mem));
 }
 
 }  // namespace

@@ -141,6 +141,26 @@ TEST(CpuEdge, IretRejectsRing2AndMisalignedPc) {
   }
 }
 
+TEST(CpuEdge, WatchpointIgnoresTheFrameEventDeliveryPushes) {
+  // Only guest store instructions hit a watch. The frame the CPU pushes to
+  // deliver an event is not one, even when it lands on watched bytes; a hit
+  // there would reach this hook-less CPU as #DB (vector 1).
+  CpuHarness h;
+  h.load([](Assembler& a) {
+    a.movi(kSp, u32{0x8000});
+    a.movi(kR0, l("idt"));
+    a.lidt(kR0, 0x40);
+    a.int_(0x30);
+    a.hlt();
+    emit_test_idt(a);
+  });
+  ASSERT_TRUE(h.cpu.arm_watchpoint(0x8000 - 16, 16));  // the 4-word frame
+  ASSERT_EQ(h.run(), RunExit::kHalted);
+  const auto rec = read_trap_record(h.mem);
+  EXPECT_EQ(rec.marker, 0x7e57u);
+  EXPECT_EQ(rec.vector, 0x30u);
+}
+
 TEST(CpuEdge, IdtCountBoundaryIsExclusive) {
   // Vector == idt_count must escalate; vector == idt_count-1 must work.
   CpuHarness h;

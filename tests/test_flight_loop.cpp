@@ -10,6 +10,7 @@
 #include "common/units.h"
 #include "debug/remote_debugger.h"
 #include "fleet/machine_unit.h"
+#include "guest/layout.h"
 #include "guest/minitactix.h"
 #include "harness/platform.h"
 #include "vmm/flight_loop.h"
@@ -140,6 +141,32 @@ TEST(FlightLoopWindow, FreezePreservesTheWindow) {
   fl.unfreeze();
   ASSERT_EQ(p->machine().run_for(seconds_to_cycles(0.02)), MStop::kBudget);
   EXPECT_GT(fl.stats().checkpoints, captured);
+}
+
+// A watch armed after the ring's oldest checkpoint is the debugger's, not
+// the guest's: the verify's restore must neither drop it nor replay a
+// timeline it perturbed. The watched word is an unwritten one on the busy
+// mailbox page.
+TEST(FlightLoopWindow, VerifyLeavesDebuggerWatchpointsArmed) {
+  auto p = make_lvmm();
+  ExitTracer tracer(4096);
+  tracer.set_enabled(true);
+  p->monitor()->set_tracer(&tracer);
+
+  FlightLoop::Config cfg;
+  cfg.interval = 20'000;
+  cfg.ring = 8;
+  FlightLoop fl(*p->monitor(), cfg);
+  fl.arm();
+
+  ASSERT_EQ(p->machine().run_for(seconds_to_cycles(0.03)), MStop::kBudget);
+  auto& cpu = p->machine().cpu();
+  ASSERT_TRUE(cpu.arm_watchpoint(guest::kMailboxBase + 0xF00, 4));
+  ASSERT_EQ(p->machine().run_for(seconds_to_cycles(0.001)), MStop::kBudget);
+
+  std::string why;
+  EXPECT_TRUE(fl.verify_window(&why)) << why;
+  EXPECT_EQ(cpu.watchpoint_count(), 1u);
 }
 
 // ---------------------------------------------------------- profiler ----

@@ -411,5 +411,57 @@ TEST(MultiverseRsp, ForksDoNotInheritDebuggerBreakpoints) {
   }
 }
 
+// Forks branch from the program's real state: a watchpoint armed where the
+// fork is taken is debugger state, so no timeline inherits it. Two sessions
+// stop at the same point and arm one watch each with a same-length Z2 (so
+// the stub charges both the same): one on an unwritten word of the busy
+// mailbox page, one on a page the guest never touches. Their forks must
+// run identically.
+TEST(MultiverseRsp, ForksDoNotInheritDebuggerWatchpoints) {
+  const RunConfig rc = RunConfig::for_rate_mbps(40.0);
+  std::vector<std::vector<TimelineResult>> runs;
+  for (const u32 watch_va : {0x1f00u, 0x5f00u}) {
+    fleet::MachineUnit unit(fleet::UnitKind::kLvmm, fleet::UnitOptions{}, 0);
+    unit.prepare(rc);
+    vmm::DebugStub* stub = unit.attach_stub();
+    ASSERT_NE(stub, nullptr);
+    TimeTravel tt(*unit.monitor());
+    stub->set_time_travel(&tt);
+    RemoteDebugger dbg(unit.machine());
+    ASSERT_TRUE(dbg.connect());
+    unit.machine().run_for(seconds_to_cycles(0.02));
+    ASSERT_EQ(dbg.interrupt(), RemoteDebugger::StopKind::kBreak);
+    ASSERT_TRUE(dbg.set_watchpoint(watch_va, 4));
+    ASSERT_TRUE(tt.checkpoint_now());
+
+    MultiverseConfig cfg;
+    cfg.timelines = 2;
+    cfg.threads = 2;
+    cfg.budget = seconds_to_cycles(0.005);
+    cfg.slice = seconds_to_cycles(0.001);
+    cfg.run = rc;
+    Multiverse mv(tt.checkpoints().back(), cfg);
+    const auto pred = OutcomePredicate::parse("frozen");
+    ASSERT_TRUE(pred);
+    runs.push_back(mv.explore(*pred));
+    ASSERT_EQ(runs.back().size(), 2u);
+  }
+  const auto pf_exits = [](const TimelineResult& r) {
+    for (const auto& s : r.replay_metrics) {
+      if (s.name == "vmm.exit_pf.count") return s.value;
+    }
+    ADD_FAILURE() << "no vmm.exit_pf.count in the timeline's metrics";
+    return u64{0};
+  };
+  for (std::size_t i = 0; i < 2; ++i) {
+    const TimelineResult& busy = runs[0][i];
+    const TimelineResult& idle = runs[1][i];
+    EXPECT_FALSE(busy.frozen);
+    EXPECT_EQ(busy.status.icount, idle.status.icount) << "timeline " << i;
+    EXPECT_EQ(busy.status.cycles, idle.status.cycles) << "timeline " << i;
+    EXPECT_EQ(pf_exits(busy), pf_exits(idle)) << "timeline " << i;
+  }
+}
+
 }  // namespace
 }  // namespace vdbg::test

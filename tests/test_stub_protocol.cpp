@@ -133,6 +133,10 @@ TEST(StubProtocol, BreakpointValidation) {
   EXPECT_EQ(rig.stub->breakpoint_count(), 0u);
   rig.send_packet("z0,10000,8");  // removing absent breakpoint is OK
   EXPECT_EQ(rig.last_reply(), "OK");
+  rig.send_packet("Z2,fffffff0,20");  // wraps past 2^32: could never hit
+  EXPECT_EQ(rig.last_reply(), "E01");
+  rig.send_packet("z2,10000,4");  // removing an unknown watch is an error
+  EXPECT_EQ(rig.last_reply(), "E03");
 }
 
 TEST(StubProtocol, CustomQueriesReportMonitorState) {

@@ -4,6 +4,7 @@
 // at the controller level and end-to-end over the RSP wire.
 #include <gtest/gtest.h>
 
+#include <functional>
 
 #include "common/snapshot.h"
 #include "common/units.h"
@@ -579,8 +580,10 @@ TEST(TimeTravelRsp, ReverseContinueLandsOnPreviousBreakpointHit) {
 // hit 2 lands on the very state the original run had one instruction
 // earlier. A twin session repeats the script up to that resume and runs to
 // the same boundary undisturbed; pc, registers, flags and simulated time
-// must all match.
-TEST(TimeTravelRsp, ReverseStepFromBreakpointHitMatchesTheOriginalRun) {
+// must all match. `arm_before_reverse`, when set, runs against the first
+// session at hit 2, before the reverse step.
+void expect_reverse_step_from_hit_2_matches_twin(
+    const std::function<void(RemoteDebugger&)>& arm_before_reverse) {
   TimeTravel::Config cfg;
   cfg.interval = 100'000'000;  // only the stub's resume checkpoints
   cfg.ring = 64;
@@ -592,6 +595,7 @@ TEST(TimeTravelRsp, ReverseStepFromBreakpointHitMatchesTheOriginalRun) {
   }
   ASSERT_EQ(a.dbg->continue_and_wait(seconds_to_cycles(0.05)),
             StopKind::kBreak);
+  if (arm_before_reverse) arm_before_reverse(*a.dbg);
   const u64 m = a.dbg->icount().value();
   // The landing as the guest froze (simulated time runs on while the
   // reply crosses the wire).
@@ -616,6 +620,19 @@ TEST(TimeTravelRsp, ReverseStepFromBreakpointHitMatchesTheOriginalRun) {
   EXPECT_EQ(landed.psw, want.state().psw);
   EXPECT_EQ(landed_at, want.cycles())
       << "the replayed window diverged from the original in simulated time";
+}
+
+TEST(TimeTravelRsp, ReverseStepFromBreakpointHitMatchesTheOriginalRun) {
+  expect_reverse_step_from_hit_2_matches_twin(nullptr);
+}
+
+// A watch armed at the stop and never hit in the replayed window leaves the
+// replay exactly the original run. Its word shares the mailbox page, which
+// the window stores to.
+TEST(TimeTravelRsp, ReverseStepWithWatchpointArmedMatchesTheOriginalRun) {
+  expect_reverse_step_from_hit_2_matches_twin([](RemoteDebugger& dbg) {
+    ASSERT_TRUE(dbg.set_watchpoint(guest::kMailboxBase + 0xF00, 4));
+  });
 }
 
 }  // namespace

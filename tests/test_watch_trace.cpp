@@ -1,6 +1,6 @@
-// Tests for the two debugging extensions built on the monitor's mechanisms:
-// shadow-paging write watchpoints and the VM-exit tracer — both end-to-end
-// over the RSP wire and at the unit level.
+// Tests for two debugging extensions of the monitor: write watchpoints (the
+// CPU's monitor-side debug state, armed over RSP with Z2) and the VM-exit
+// tracer — both end-to-end over the RSP wire and at the unit level.
 #include <gtest/gtest.h>
 
 #include "common/units.h"
@@ -9,6 +9,7 @@
 #include "guest/minitactix.h"
 #include "harness/platform.h"
 #include "vmm/stub.h"
+#include "vmm/time_travel.h"
 #include "vmm/trace.h"
 
 namespace vdbg::test {
@@ -123,14 +124,15 @@ TEST(Watchpoints, MonitorApiHitsOnWatchedWord) {
   Rig rig;
   rig.platform->machine().run_for(seconds_to_cycles(0.03));  // boot + stream
   auto* mon = rig.platform->monitor();
-  ASSERT_TRUE(mon->add_watchpoint(
+  auto& cpu = rig.platform->machine().cpu();
+  ASSERT_TRUE(cpu.arm_watchpoint(
       guest::kMailboxBase + Mailbox::kSegmentsSent, 4));
-  EXPECT_EQ(mon->watchpoint_count(), 1u);
+  EXPECT_EQ(cpu.watchpoint_count(), 1u);
 
   // The next segment send writes the counter -> the guest freezes.
   rig.platform->machine().run_for(seconds_to_cycles(0.05));
   ASSERT_TRUE(mon->guest_frozen());
-  const auto& hit = mon->last_watch_hit();
+  const auto& hit = cpu.last_watch_hit();
   EXPECT_EQ(hit.va, guest::kMailboxBase + Mailbox::kSegmentsSent);
   EXPECT_EQ(hit.size, 4u);
   // Post-write semantics: the stored value is the new counter value.
@@ -146,7 +148,8 @@ TEST(Watchpoints, UnwatchedBytesOnWatchedPageRunSilently) {
   Rig rig;
   rig.platform->machine().run_for(seconds_to_cycles(0.03));
   auto* mon = rig.platform->monitor();
-  ASSERT_TRUE(mon->add_watchpoint(guest::kMailboxBase + 0xff0, 4));
+  auto& cpu = rig.platform->machine().cpu();
+  ASSERT_TRUE(cpu.arm_watchpoint(guest::kMailboxBase + 0xff0, 4));
   const auto before = rig.platform->mailbox();
   rig.platform->machine().run_for(seconds_to_cycles(0.03));
   EXPECT_FALSE(mon->guest_frozen());
@@ -159,10 +162,11 @@ TEST(Watchpoints, RemoveRestoresFullSpeedMappings) {
   Rig rig;
   rig.platform->machine().run_for(seconds_to_cycles(0.03));
   auto* mon = rig.platform->monitor();
-  ASSERT_TRUE(mon->add_watchpoint(guest::kMailboxBase + 0xff0, 4));
-  ASSERT_TRUE(mon->remove_watchpoint(guest::kMailboxBase + 0xff0, 4));
-  EXPECT_EQ(mon->watchpoint_count(), 0u);
-  EXPECT_FALSE(mon->remove_watchpoint(guest::kMailboxBase + 0xff0, 4));
+  auto& cpu = rig.platform->machine().cpu();
+  ASSERT_TRUE(cpu.arm_watchpoint(guest::kMailboxBase + 0xff0, 4));
+  ASSERT_TRUE(cpu.disarm_watchpoint(guest::kMailboxBase + 0xff0, 4));
+  EXPECT_EQ(cpu.watchpoint_count(), 0u);
+  EXPECT_FALSE(cpu.disarm_watchpoint(guest::kMailboxBase + 0xff0, 4));
   const auto pf_before = mon->exit_stats().pt_writes;
   rig.platform->machine().run_for(seconds_to_cycles(0.02));
   // With no watch (and no PT writes in steady state) nothing is emulated.
@@ -196,10 +200,67 @@ TEST(Watchpoints, EndToEndOverRsp) {
   EXPECT_GT(rig.platform->mailbox().segments_sent, before);
 }
 
-TEST(Watchpoints, RequiresGuestPaging) {
-  // Before boot (paging off) the watchpoint API refuses.
+TEST(Watchpoints, HitsBeforeGuestPaging) {
+  // A watch is the CPU's own debug state, not a write-protected shadow
+  // page, so it needs no guest paging: armed before boot, it stops the
+  // boot code's first call, which pushes its return address at the top of
+  // the kernel stack while paging is still off.
   Rig rig;
-  EXPECT_FALSE(rig.platform->monitor()->add_watchpoint(0x1000, 4));
+  auto* mon = rig.platform->monitor();
+  auto& cpu = rig.platform->machine().cpu();
+  const auto& kernel = rig.platform->image().kernel;
+  ASSERT_FALSE(mon->vcpu().paging_enabled());
+  ASSERT_TRUE(cpu.arm_watchpoint(guest::kKernelStackTop - 4, 4));
+
+  rig.platform->machine().run_for(seconds_to_cycles(0.001));
+  ASSERT_TRUE(mon->guest_frozen());
+  EXPECT_FALSE(mon->vcpu().paging_enabled());
+  const auto& hit = cpu.last_watch_hit();
+  EXPECT_EQ(hit.va, guest::kKernelStackTop - 4);
+  EXPECT_EQ(hit.size, 4u);
+  // `entry: movi sp; call pic_init` — the stored value is the return
+  // address, and the guest stopped at the call target.
+  EXPECT_EQ(hit.value, kernel.symbol("entry").value() + 2 * cpu::kInstrBytes);
+  EXPECT_EQ(hit.pc, kernel.symbol("pic_init").value());
+  EXPECT_EQ(cpu.state().pc, hit.pc);
+}
+
+TEST(Watchpoints, UnhitWatchpointLeavesGuestBitIdentical) {
+  // An armed watch the guest never hits is invisible to it: no page is
+  // write-protected, no exit taken, no cycle charged, and no snapshot
+  // carries it. The watched word shares the busiest page, the mailbox,
+  // with counters the guest stores to all the time.
+  Rig watched, plain;
+  for (Rig* r : {&watched, &plain}) {
+    r->platform->machine().run_for(seconds_to_cycles(0.03));
+  }
+  ASSERT_TRUE(watched.platform->machine().cpu().arm_watchpoint(
+      guest::kMailboxBase + 0xF00, 4));
+  for (Rig* r : {&watched, &plain}) {
+    r->platform->machine().run_for(seconds_to_cycles(0.03));
+  }
+  EXPECT_FALSE(watched.platform->monitor()->guest_frozen());
+  const auto a = vmm::TimeTravel(*watched.platform->monitor()).save_state();
+  const auto b = vmm::TimeTravel(*plain.platform->monitor()).save_state();
+  ASSERT_FALSE(a.empty());
+  EXPECT_TRUE(a == b) << "arming an unhit watch changed the guest's state";
+}
+
+TEST(Watchpoints, WatchOnStackPageKeepsGuestRunning) {
+  // The interrupt handlers push registers and make calls on the
+  // ring-transition stack; a watch on an unwritten word of that page must
+  // leave those stores alone.
+  Rig rig;
+  auto& m = rig.platform->machine();
+  m.run_for(seconds_to_cycles(0.03));
+  ASSERT_TRUE(m.cpu().arm_watchpoint(guest::kIntrStackTop - 0x1000, 4));
+  const auto before = rig.platform->mailbox();
+  m.run_for(seconds_to_cycles(0.03));
+  EXPECT_FALSE(rig.platform->monitor()->vcpu().crashed);
+  EXPECT_FALSE(rig.platform->monitor()->guest_frozen());
+  const auto after = rig.platform->mailbox();
+  EXPECT_EQ(after.last_error, 0u);
+  EXPECT_GT(after.segments_sent, before.segments_sent);
 }
 
 }  // namespace
