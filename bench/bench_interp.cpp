@@ -9,8 +9,8 @@
 // superblocks killed, Arg(2) the full threaded-superblock tier (the
 // default configuration). Compare guest_instr_per_s across the /0, /1 and
 // /2 rows to read the per-tier speedup; BM_TierSpeedup reports the
-// superblock-vs-block-cache ratio directly as a counter so CI can gate it
-// (tools/bench_baseline.json).
+// superblock-vs-block-cache ratios of the ALU and memory-copy loops
+// directly as counters so CI can gate them (tools/bench_baseline.json).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -87,23 +87,25 @@ void BM_AluLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_AluLoop)->Arg(0)->Arg(1)->Arg(2);
 
+void emit_memcopy_loop(Assembler& a) {
+  a.movi(kR0, u32{0x10000});  // src
+  a.movi(kR1, u32{0x20000});  // dst
+  a.label("loop");
+  a.ld32(kR2, kR0, 0);
+  a.st32(kR1, 0, kR2);
+  a.addi(kR0, kR0, u32{4});
+  a.addi(kR1, kR1, u32{4});
+  a.cmpi(kR0, u32{0x18000});
+  a.jnz(l("loop"));
+  a.movi(kR0, u32{0x10000});
+  a.movi(kR1, u32{0x20000});
+  a.jmp(l("loop"));
+}
+
 void BM_MemoryCopyLoop(benchmark::State& state) {
   Rig rig;
   rig.set_tier(int(state.range(0)));
-  load(rig, [](Assembler& a) {
-    a.movi(kR0, u32{0x10000});  // src
-    a.movi(kR1, u32{0x20000});  // dst
-    a.label("loop");
-    a.ld32(kR2, kR0, 0);
-    a.st32(kR1, 0, kR2);
-    a.addi(kR0, kR0, u32{4});
-    a.addi(kR1, kR1, u32{4});
-    a.cmpi(kR0, u32{0x18000});
-    a.jnz(l("loop"));
-    a.movi(kR0, u32{0x10000});
-    a.movi(kR1, u32{0x20000});
-    a.jmp(l("loop"));
-  });
+  load(rig, emit_memcopy_loop);
   for (auto _ : state) {
     rig.cpu_.run(10000);
   }
@@ -130,36 +132,50 @@ void BM_CallRetLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_CallRetLoop)->Arg(0)->Arg(1)->Arg(2);
 
-// Direct tier-2-over-tier-1 ratio on the ALU loop, exported as a counter so
-// tools/check_bench.py can gate it (a cross-row comparison is outside that
-// gate's model). Both rigs run identical simulated-cycle slices, so the
-// host-time ratio is the guest-throughput ratio. sb_chain_rate here is a
-// deterministic simulated counter: the loop block should chain to itself on
-// essentially every dispatch.
+// Direct tier-2-over-tier-1 ratios on the ALU and memory-copy loops,
+// exported as counters so tools/check_bench.py can gate them (a cross-row
+// comparison is outside that gate's model). All four rigs run identical
+// simulated-cycle slices, interleaved in one process, so each host-time
+// ratio is a guest-throughput ratio robust to absolute host speed.
+// sb_chain_rate is a deterministic simulated counter: the ALU loop block
+// should chain to itself on essentially every dispatch.
 void BM_TierSpeedup(benchmark::State& state) {
-  Rig block_rig;
-  block_rig.set_tier(1);
-  load(block_rig, emit_alu_loop);
-  Rig sb_rig;
-  sb_rig.set_tier(2);
-  load(sb_rig, emit_alu_loop);
-  // Warm both tiers past decode and superblock promotion.
-  block_rig.cpu_.run(100000);
-  sb_rig.cpu_.run(100000);
-  using clock = std::chrono::steady_clock;
-  double t_block = 0.0;
-  double t_sb = 0.0;
+  struct Pair {
+    explicit Pair(void (*emit)(Assembler&)) {
+      block.set_tier(1);
+      load(block, emit);
+      sb.set_tier(2);
+      load(sb, emit);
+      // Warm both tiers past decode and superblock promotion.
+      block.cpu_.run(100000);
+      sb.cpu_.run(100000);
+    }
+    /// One slice on each tier, accumulating host seconds.
+    void step() {
+      using clock = std::chrono::steady_clock;
+      const auto t0 = clock::now();
+      block.cpu_.run(1000000);
+      const auto t1 = clock::now();
+      sb.cpu_.run(1000000);
+      const auto t2 = clock::now();
+      t_block += std::chrono::duration<double>(t1 - t0).count();
+      t_sb += std::chrono::duration<double>(t2 - t1).count();
+    }
+    double speedup() const { return t_sb > 0.0 ? t_block / t_sb : 0.0; }
+    Rig block;
+    Rig sb;
+    double t_block = 0.0;
+    double t_sb = 0.0;
+  };
+  Pair alu(emit_alu_loop);
+  Pair memcopy(emit_memcopy_loop);
   for (auto _ : state) {
-    const auto t0 = clock::now();
-    block_rig.cpu_.run(1000000);
-    const auto t1 = clock::now();
-    sb_rig.cpu_.run(1000000);
-    const auto t2 = clock::now();
-    t_block += std::chrono::duration<double>(t1 - t0).count();
-    t_sb += std::chrono::duration<double>(t2 - t1).count();
+    alu.step();
+    memcopy.step();
   }
-  state.counters["superblock_speedup_x"] = t_sb > 0.0 ? t_block / t_sb : 0.0;
-  const auto& sbc = sb_rig.cpu_.sbc_stats();
+  state.counters["superblock_speedup_x"] = alu.speedup();
+  state.counters["superblock_speedup_memcopy_x"] = memcopy.speedup();
+  const auto& sbc = alu.sb.cpu_.sbc_stats();
   const double entries = double(sbc.hits + sbc.chains);
   state.counters["sb_chain_rate"] =
       entries > 0 ? double(sbc.chains) / entries : 0.0;

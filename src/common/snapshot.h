@@ -58,7 +58,9 @@ class SnapshotWriter {
   // v5: kLvmm and kShadowMmu drop the debugger's write watchpoints (watch
   //     ranges, last hit, watched pages); they are the CPU's host-side
   //     debug state now, which no snapshot carries.
-  static constexpr u32 kVersion = 5;
+  // v6: kPhysMem drops the per-page write versions; they are host decode
+  //     history now (PhysMem retires decoded pages on restore instead).
+  static constexpr u32 kVersion = 6;
 
   SnapshotWriter();
 

@@ -4,13 +4,13 @@
 
 namespace vdbg::cpu {
 
-CachedBlock* BlockCache::build(PAddr pa, const PhysMem& mem,
+CachedBlock* BlockCache::build(PAddr pa, PhysMem& mem,
                                std::span<const PAddr> stops, u64& builds,
                                u64& invals) {
   CachedBlock& slot = slot_for(pa);
   const u64 version = mem.page_version(pa >> kPageBits);
   if (slot.valid && slot.pa == pa && slot.version != version) {
-    ++invals;  // code page written since decode
+    ++invals;  // page retired since decode (its code was written)
   }
 
   // (Re)decode forward from `pa`. Blocks never cross a page boundary so a
@@ -35,6 +35,7 @@ CachedBlock* BlockCache::build(PAddr pa, const PhysMem& mem,
     slot.valid = false;
     return nullptr;
   }
+  mem.mark_code(pa, u32(n) * kInstrBytes);
   slot.pa = pa;
   slot.version = version;
   slot.count = n;
@@ -43,16 +44,6 @@ CachedBlock* BlockCache::build(PAddr pa, const PhysMem& mem,
   slot.valid = true;
   ++builds;
   return &slot;
-}
-
-void BlockCache::invalidate_range(PAddr begin, u32 len, u64& invals) {
-  const PAddr end = begin + len;
-  for (auto& b : blocks_) {
-    if (b.valid && b.pa < end && begin < b.pa + u32(b.count) * kInstrBytes) {
-      b.valid = false;
-      ++invals;
-    }
-  }
 }
 
 void BlockCache::invalidate_all(u64& invals) {

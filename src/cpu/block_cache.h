@@ -8,10 +8,12 @@
 // translate + read_block + opcode_valid + decode work of the slow path.
 //
 // Indexing is PHYSICAL and content validity is guarded by PhysMem's
-// per-page write-version counters:
-//  * guest stores, DMA, monitor emulation and debugger memory writes all
-//    bump the version of the pages they touch, so a block decoded from a
-//    page that has since been written never hits (self-modifying code);
+// per-page code masks and write versions:
+//  * build() marks the 64-byte chunks it decoded in its page's code mask;
+//    a guest store, DMA, monitor emulation or debugger write that overlaps
+//    a marked chunk bumps the page's version, so a block decoded from bytes
+//    that have since been written never hits (self-modifying code), while
+//    writes to data that merely shares the page leave its blocks alone;
 //  * TLB events (flush_tlb / invlpg / CR0-CR3 writes) need no content
 //    invalidation at all: the dispatcher re-translates pc at every block
 //    entry and revalidates the fetch translation between the instructions
@@ -20,8 +22,9 @@
 // The monitor's armed breakpoints (Cpu::arm_breakpoint) shape blocks
 // without touching memory: decoding stops before an armed address, so one
 // is only ever a block head, which build() refuses — the dispatcher then
-// takes the slow path that raises the breakpoint. Arming or disarming drops
-// the page's blocks via invalidate_range() so they are decoded again.
+// takes the slow path that raises the breakpoint. Arming or disarming
+// retires the page's decoded code (PhysMem::retire_code) through the same
+// version bump, so its blocks are decoded again.
 #pragma once
 
 #include <array>
@@ -76,17 +79,15 @@ class BlockCache {
   }
 
   /// (Re)decodes the block starting at physical `pa` into its slot,
-  /// ending before any address in `stops` (the armed breakpoints).
+  /// ending before any address in `stops` (the armed breakpoints), and
+  /// marks the decoded bytes in `mem`'s code mask.
   /// Counters: `builds` on every decode, `invals` when a stale block (code
   /// page written since decode) was dropped on the way. Returns nullptr
   /// when no instruction can be decoded at `pa` (invalid head opcode,
   /// out-of-range fetch, or `pa` itself in `stops`); the caller must fall
   /// back to the slow path, which raises the right event.
-  CachedBlock* build(PAddr pa, const PhysMem& mem,
-                     std::span<const PAddr> stops, u64& builds, u64& invals);
-
-  /// Drops every cached block overlapping physical [begin, begin+len).
-  void invalidate_range(PAddr begin, u32 len, u64& invals);
+  CachedBlock* build(PAddr pa, PhysMem& mem, std::span<const PAddr> stops,
+                     u64& builds, u64& invals);
 
   /// Drops everything.
   void invalidate_all(u64& invals);

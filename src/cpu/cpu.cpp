@@ -221,9 +221,9 @@ void Cpu::invalidate_code_page(PAddr pa) {
   // Arming must split any block spanning pa (blocks are built to end before
   // an armed address, which is then only ever reached at a block head and
   // diverted to step_at); disarming lets the truncated blocks grow back.
-  const PAddr page = pa & ~PAddr{kPageMask};
-  bcache_.invalidate_range(page, kPageSize, stats_.block_invalidations);
-  sbcache_.invalidate_range(page, kPageSize, sbc_stats_);
+  // Retiring the page's decoded code is the same version bump a write to
+  // it makes, so both tiers drop its blocks on their next lookup.
+  mem_.retire_code(pa & ~PAddr{kPageMask}, kPageSize);
 }
 
 void Cpu::run_cached(Cycles target) {
@@ -630,7 +630,8 @@ __attribute__((flatten)) Cpu::SbRun Cpu::exec_superblock(SuperBlock* sb,
       &&h_AddI,   &&h_SubI,   &&h_AndI,   &&h_OrI,    &&h_XorI,   &&h_ShlI,
       &&h_ShrI,   &&h_SarI,   &&h_MulI,   &&h_Cmp,    &&h_CmpI,   &&h_Jmp,
       &&h_JmpR,   &&h_Jz,     &&h_Jnz,    &&h_Jb,     &&h_Jae,    &&h_Jbe,
-      &&h_Ja,     &&h_Jl,     &&h_Jge,    &&h_Jle,    &&h_Jg,     &&h_Generic,
+      &&h_Ja,     &&h_Jl,     &&h_Jge,    &&h_Jle,    &&h_Jg,     &&h_Ld8,
+      &&h_Ld16,   &&h_Ld32,   &&h_St8,    &&h_St16,   &&h_St32,   &&h_Generic,
       &&h_AddNf,  &&h_SubNf,  &&h_AndNf,  &&h_OrNf,   &&h_XorNf,  &&h_ShlNf,
       &&h_ShrNf,  &&h_SarNf,  &&h_MulNf,  &&h_AddINf, &&h_SubINf, &&h_AndINf,
       &&h_OrINf,  &&h_XorINf, &&h_ShlINf, &&h_ShrINf, &&h_SarINf, &&h_MulINf,
@@ -655,6 +656,7 @@ __attribute__((flatten)) Cpu::SbRun Cpu::exec_superblock(SuperBlock* sb,
   const u8 cpl = st_.cpl();
   const bool paged = st_.paging_enabled();
   const Cycles fetch_cost = costs_.mem + costs_.base;
+  const Cycles mem_cost = costs_.mem;
   const Cycles branch_cost = costs_.branch_taken;
   const Cycles mul_cost = costs_.mul;
   const u64 instr_stop = instr_stop_;
@@ -714,6 +716,17 @@ __attribute__((flatten)) Cpu::SbRun Cpu::exec_superblock(SuperBlock* sb,
     memacc = stats_.mem_accesses;
     psw = st_.psw;
     pc = st_.pc;
+  };
+  // Physical address of an aligned data access that mem_read/mem_write
+  // would complete with no side effect beyond the access itself and one
+  // TLB hit (counted here); false leaves every counter alone.
+  const auto data_hit = [&](VAddr va, u32 size, bool write, PAddr& dpa) {
+    if (va & (size - 1)) return false;
+    if (!paged) {
+      dpa = va;
+      return mem_.contains(va, size);
+    }
+    return mmu_.data_recheck(va, cpl, write, size, dpa);
   };
 
 enter_block:
@@ -1061,6 +1074,50 @@ dispatch_loop:
   SB_FUSED_CMP(Jg, static_cast<i32>(a) > static_cast<i32>(b))
 #undef SB_FUSED_CMP
 
+  // --- native loads and stores (see SbClass::kLd8) ---
+  // An aligned access that hits the data TLB (or lies inside physical memory
+  // with paging off) charges and counts what mem_read/mem_write charge for
+  // it and goes straight to PhysMem, whose stores keep the COW and code-
+  // retirement behaviour of the reference path. Anything else — misaligned,
+  // TLB miss, permission fault, D bit still clear, out of range, or a store
+  // while a watch is armed — reaches the generic handler untouched, which
+  // produces the reference accounting and fault. A store that retired this
+  // block's own page ends its purity, so the next boundary resyncs.
+#define SB_LOAD(name, size, read)                                            \
+  SB_CASE(name) {                                                            \
+    const VAddr ea = regs[ip->rs1 & (kNumGprs - 1)] + ip->imm;               \
+    PAddr dpa = 0;                                                           \
+    if (!data_hit(ea, size, false, dpa)) goto mem_fallback;                  \
+    cyc += mem_cost;                                                         \
+    ++memacc;                                                                \
+    ++sbc_stats_.mem_native;                                                 \
+    regs[ip->rd & (kNumGprs - 1)] = mem_.read(dpa);                          \
+    SB_NEXT();                                                               \
+  }
+#define SB_STORE(name, size, write, type)                                    \
+  SB_CASE(name) {                                                            \
+    const VAddr ea = regs[ip->rs1 & (kNumGprs - 1)] + ip->imm;               \
+    PAddr dpa = 0;                                                           \
+    if (!watches_.empty() || !data_hit(ea, size, true, dpa)) {               \
+      goto mem_fallback;                                                     \
+    }                                                                        \
+    cyc += mem_cost;                                                         \
+    ++memacc;                                                                \
+    ++sbc_stats_.mem_native;                                                 \
+    mem_.write(dpa, static_cast<type>(regs[ip->rs2 & (kNumGprs - 1)]));      \
+    if (*version_ptr != version) pure = false;                               \
+    SB_NEXT();                                                               \
+  }
+
+  SB_LOAD(Ld8, 1, read8)
+  SB_LOAD(Ld16, 2, read16)
+  SB_LOAD(Ld32, 4, read32)
+  SB_STORE(St8, 1, write8, u8)
+  SB_STORE(St16, 2, write16, u16)
+  SB_STORE(St32, 4, write32, u32)
+#undef SB_LOAD
+#undef SB_STORE
+
   // --- branch handlers: tail-only (branches terminate block decode) ---
   SB_CASE(Jmp) {
     ++icount;
@@ -1197,9 +1254,11 @@ dispatch_loop:
   }
 
   SB_CASE(Generic) {
-    // Anything without a native handler: loads/stores, stack ops, div,
-    // system/privileged ops, Call/Ret. Runs through the reference execute()
-    // with the locals flushed, exactly as the block tier does.
+    // Anything without a native handler — stack ops, div, system/privileged
+    // ops, Call/Ret — and every load/store the native handlers hand over.
+    // Runs through the reference execute() with the locals flushed, exactly
+    // as the block tier does.
+  generic_op:
     flush();
     Instr in;
     in.op = ip->op;
@@ -1227,13 +1286,14 @@ dispatch_loop:
     if (++ip == end) goto tail_generic;
     if (cyc >= stop) goto out_done;
     if (icount >= instr_stop) goto out_done;
-    if (!pure) {
-      pa += kInstrBytes;
-      if (*version_ptr != version) goto out_resync;
-      if (paged) {
-        PAddr np = 0;
-        if (!mmu_.fetch_recheck(pc, cpl, np) || np != pa) goto out_resync;
-      }
+    // Always revalidate, in pure blocks too: a load or store handed over by
+    // a native handler may have filled the TLB or written this page. Pure
+    // blocks do not track pa, so derive it from ip.
+    pa = sb->pa + u32(ip - sb->instrs.data()) * kInstrBytes;
+    if (*version_ptr != version) goto out_resync;
+    if (paged) {
+      PAddr np = 0;
+      if (!mmu_.fetch_recheck(pc, cpl, np) || np != pa) goto out_resync;
     }
     cyc += fetch_cost;
     ++memacc;
@@ -1244,6 +1304,10 @@ dispatch_loop:
   }
   goto out_done;  // unreachable: every SbClass value has a case
 #endif
+
+mem_fallback:
+  ++sbc_stats_.mem_fallbacks;
+  goto generic_op;
 
 next_instr:
   // Slow-mode boundary (SB_NEXT routes here only when !fast). Ordering

@@ -150,9 +150,9 @@ class Cpu {
   const SbcStats& sbc_stats() const { return sbc_stats_; }
 
   /// Drops both cached tiers, severing every superblock chain
-  /// (tb_phys_invalidate analog). Stores never need this — PhysMem's page
-  /// versions already catch every one; restore uses it to shed derived
-  /// state.
+  /// (tb_phys_invalidate analog). Writes never need this — PhysMem retires
+  /// a page whenever a write overlaps its decoded code; restore uses it to
+  /// shed derived state.
   void invalidate_block_cache() {
     bcache_.invalidate_all(stats_.block_invalidations);
     sbcache_.invalidate_all(sbc_stats_);
@@ -235,6 +235,10 @@ class Cpu {
     reg.add_counter("cpu.sbc.unchains", &sbc_stats_.unchains,
                     /*replay_exact=*/false);
     reg.add_counter("cpu.sbc.invalidations", &sbc_stats_.invalidations,
+                    /*replay_exact=*/false);
+    reg.add_counter("cpu.sbc.mem_native", &sbc_stats_.mem_native,
+                    /*replay_exact=*/false);
+    reg.add_counter("cpu.sbc.mem_fallbacks", &sbc_stats_.mem_fallbacks,
                     /*replay_exact=*/false);
     // Fraction of superblock entries that skipped the dispatcher via a
     // direct chain — the health number for cross-block chaining.
@@ -339,8 +343,8 @@ class Cpu {
   /// Raises Fault::watch() for the hit a just-retired store left pending
   /// (watch_pending_), recording `resume_pc` as where the guest resumes.
   __attribute__((noinline, cold)) void raise_watch_hit(u32 resume_pc);
-  /// Drops both tiers' blocks on `pa`'s page, so they are decoded again
-  /// around a changed breakpoint set.
+  /// Retires the decoded code on `pa`'s page, so both tiers decode its
+  /// blocks again around a changed breakpoint set.
   void invalidate_code_page(PAddr pa);
 
   PhysMem& mem_;

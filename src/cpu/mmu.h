@@ -28,8 +28,8 @@
 namespace vdbg::cpu {
 
 // kPageBits / kPageSize / kPageMask live in phys_mem.h (physical memory
-// versions itself at page granularity) and are re-exported here via that
-// include for all paging code.
+// tracks decoded code at page granularity) and are re-exported here via
+// that include for all paging code.
 
 struct Pte {
   static constexpr u32 kP = 1u << 0;
@@ -103,14 +103,37 @@ class Mmu {
     return true;
   }
 
+  /// Inline data-access sibling of fetch_recheck(), used by the superblock
+  /// tier's native loads and stores. On a TLB hit that translate() would
+  /// complete without side effects — permission granted, and for a write
+  /// an entry that is writable with D already set — it fills `pa` and
+  /// counts exactly what translate() counts for that hit (zero cycles, one
+  /// hit). A miss, a permission fault, a D-bit update, or `size` bytes
+  /// outside physical memory returns false with no counter movement; the
+  /// caller then runs the full translate() path. The access must be
+  /// aligned, so it never crosses a page. Never changes a TLB entry.
+  bool data_recheck(VAddr va, u8 cpl, bool write, u32 size, PAddr& pa) {
+    const u32 vpn = va >> kPageBits;
+    const TlbEntry& slot = tlb_[tlb_index(vpn)];
+    if (!slot.valid || slot.vpn != vpn) return false;
+    if (cpl == kRing3 && !slot.u) return false;
+    if (write && !(slot.w && slot.dirty)) return false;
+    const PAddr p = (slot.pfn << kPageBits) | (va & kPageMask);
+    if (!mem_.contains(p, size)) return false;
+    ++hits_;
+    pa = p;
+    return true;
+  }
+
   /// Accounting shortcut for the superblock tier's *pure* blocks: every
-  /// instruction of such a block is register-only (no loads/stores, no
-  /// device or hook calls), so nothing between two instructions can evict
-  /// the code page's TLB entry, change permissions, or move the page out of
-  /// physical memory — the per-instruction fetch_recheck() is proven to hit
-  /// and its only observable effect is its hit count. This bumps the same
-  /// counter the elided rechecks would have, keeping cpu.tlb.* bit-identical
-  /// to the block-cache and slow paths.
+  /// instruction of such a block has a native handler (no device or hook
+  /// calls, and loads/stores only on a data_recheck() hit, which changes no
+  /// entry), so nothing between two instructions can evict the code page's
+  /// TLB entry, change permissions, or move the page out of physical memory
+  /// — the per-instruction fetch_recheck() is proven to hit and its only
+  /// observable effect is its hit count. This bumps the same counter the
+  /// elided rechecks would have, keeping cpu.tlb.* bit-identical to the
+  /// block-cache and slow paths.
   void count_proven_fetch_hits(u64 n) { hits_ += n; }
 
   // --- statistics ---

@@ -1,7 +1,5 @@
 #include "cpu/phys_mem.h"
 
-#include <algorithm>
-
 #include "common/metrics.h"
 
 namespace vdbg::cpu {
@@ -55,10 +53,6 @@ CowPages PhysMem::capture_cow() {
     n->refs.fetch_add(1, std::memory_order_relaxed);
     out.pages_.emplace_back(p, n);
   }
-  const u32 vcount = static_cast<u32>(versions_.size());
-  for (u32 p = 0; p < vcount; ++p) {
-    if (versions_[p] != 0) out.versions_.emplace_back(p, versions_[p]);
-  }
   ++cow_captures_;
   return out;
 }
@@ -68,6 +62,7 @@ bool PhysMem::adopt_cow(const CowPages& t) {
   // Retain before releasing our own frames so adopting a capture taken from
   // this very machine (refs momentarily equal) cannot free a live frame.
   for (const auto& [page, node] : t.pages_) cow_detail::retain(node);
+  retire_all_code();
   const u32 pages = static_cast<u32>(nodes_.size());
   for (u32 p = 0; p < pages; ++p) {
     cow_detail::release(nodes_[p]);
@@ -78,10 +73,14 @@ bool PhysMem::adopt_cow(const CowPages& t) {
     nodes_[page] = node;
     read_[page] = node->data;
   }
-  std::fill(versions_.begin(), versions_.end(), 0);
-  for (const auto& [page, v] : t.versions_) versions_[page] = v;
   ++cow_adopts_;
   return true;
+}
+
+void PhysMem::retire_all_code() {
+  for (u32 p = 0; p < static_cast<u32>(code_.size()); ++p) {
+    if (code_[p] != 0) retire_page(p);
+  }
 }
 
 void PhysMem::cow_census(u64* zero, u64* shared, u64* owned) const {
@@ -143,7 +142,6 @@ void PhysMem::save(SnapshotWriter& w) const {
     w.put_u32(p);
     w.put_bytes(nodes_[p]->data, kPageSize);
   }
-  for (u64 v : versions_) w.put_u64(v);
 }
 
 void PhysMem::save_external(SnapshotWriter& w) const {
@@ -155,16 +153,16 @@ bool PhysMem::restore(SnapshotReader& r) {
   if (r.get_u32() != size_bytes_) return false;
   const u32 nonzero = r.get_u32();
   // External-contents stream: the caller adopted a CowPages table before
-  // restoring; memory (frames and versions) is already in place.
+  // restoring; memory is already in place.
   if (nonzero == kExternalPages) return true;
   const u32 pages = size() >> kPageBits;
+  retire_all_code();
   for (u32 p = 0; p < static_cast<u32>(nodes_.size()); ++p) drop_page(p);
   for (u32 i = 0; i < nonzero; ++i) {
     const u32 p = r.get_u32();
     if (p >= pages) return false;
     r.get_bytes(own_page_nocopy(p), kPageSize);
   }
-  for (u64& v : versions_) v = r.get_u64();
   return true;
 }
 

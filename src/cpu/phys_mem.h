@@ -1,5 +1,5 @@
 // Physical memory of the simulated machine: page-granular copy-on-write
-// frames, per-page write versions, and protected ranges.
+// frames, per-page code masks and write versions, and protected ranges.
 //
 // Pages live in refcounted CowPage frames. A machine normally owns its
 // frames exclusively (refs == 1) and writes go straight through; capturing
@@ -10,19 +10,27 @@
 // page, so a 64 MiB machine that touches 2 MiB costs 2 MiB.
 //
 // COW faults are host-side bookkeeping only: they charge no simulated
-// cycles and bump no versions beyond the write itself, so a timeline forked
-// from a checkpoint replays bit-identically to the original run.
+// cycles, so a timeline forked from a checkpoint replays bit-identically to
+// the original run.
 //
-// Protected ranges model the monitor's private frames: CPU stores reach them
-// only when the access is flagged privileged-host (the monitor itself), and
-// device DMA into them is refused (the devices report an address error).
-// This is the physical backstop behind the paper's third protection level.
+// Protected ranges model the monitor's private frames. Guest stores never
+// reach them because the monitor's shadow page tables map no guest virtual
+// address onto those frames, and device DMA consults overlaps_protected()
+// and is refused (the devices report an address error). This is the
+// physical backstop behind the paper's third protection level.
 //
-// Every write — CPU store, device DMA, monitor emulation, debugger poke —
-// bumps a per-page version counter. The interpreter's predecoded block cache
-// (cpu/block_cache.h) tags each block with the version of its code page at
-// decode time and treats any mismatch as an invalidation, so stale decoded
-// code can never execute no matter which agent wrote the page.
+// Precise code-write detection: each page keeps a 64-bit code mask, one bit
+// per 64-byte chunk, that the interpreter's block cache (cpu/block_cache.h)
+// sets over every range it decodes (mark_code). A write — CPU store, device
+// DMA, monitor emulation, debugger poke — that overlaps a marked chunk
+// retires the page: it bumps the page's version and clears its mask. Each
+// decoded block is tagged with its code page's version, so every block on a
+// retired page misses from then on and is decoded afresh (re-marking its
+// chunks), no matter which agent wrote the page. A write to unmarked bytes
+// leaves the version alone, so data sharing a page with hot code does not
+// churn the caches. Masks and versions describe the host's decode history,
+// not the guest: snapshots never carry them, and adopt_cow / restore retire
+// every marked page before they replace the contents.
 #pragma once
 
 #include <atomic>
@@ -64,12 +72,11 @@ inline void release(CowPage* p) {
 }  // namespace cow_detail
 
 /// A retained capture of one PhysMem's contents: shared refcounted frames
-/// for every resident (non-sentinel) page plus the sparse nonzero slice of
-/// the version table. Copyable (copies retain the frames) and cheap to take:
-/// O(pages) pointer work, no byte copies. `fresh_pages()` counts frames the
-/// captured machine still owned exclusively at capture time — exactly the
-/// pages dirtied since the previous capture, i.e. the bytes a delta
-/// checkpoint newly pays for.
+/// for every resident (non-sentinel) page. Copyable (copies retain the
+/// frames) and cheap to take: O(pages) pointer work, no byte copies.
+/// `fresh_pages()` counts frames the captured machine still owned
+/// exclusively at capture time — exactly the pages dirtied since the
+/// previous capture, i.e. the bytes a delta checkpoint newly pays for.
 class CowPages {
  public:
   CowPages() = default;
@@ -80,7 +87,6 @@ class CowPages {
     size_bytes_ = o.size_bytes_;
     fresh_pages_ = o.fresh_pages_;
     pages_ = o.pages_;
-    versions_ = o.versions_;
     for (auto& [page, node] : pages_) cow_detail::retain(node);
     return *this;
   }
@@ -106,8 +112,7 @@ class CowPages {
   /// marginal memory cost of keeping the capture in a checkpoint ring.
   u64 retained_bytes() const {
     return fresh_pages_ * kPageSize +
-           pages_.size() * (sizeof(u32) + sizeof(CowPage*)) +
-           versions_.size() * (sizeof(u32) + sizeof(u64));
+           pages_.size() * (sizeof(u32) + sizeof(CowPage*));
   }
 
  private:
@@ -115,7 +120,6 @@ class CowPages {
   void release_all() {
     for (auto& [page, node] : pages_) cow_detail::release(node);
     pages_.clear();
-    versions_.clear();
     size_bytes_ = 0;
     fresh_pages_ = 0;
   }
@@ -123,13 +127,11 @@ class CowPages {
     std::swap(size_bytes_, o.size_bytes_);
     std::swap(fresh_pages_, o.fresh_pages_);
     pages_.swap(o.pages_);
-    versions_.swap(o.versions_);
   }
 
   u32 size_bytes_ = 0;
   u64 fresh_pages_ = 0;
   std::vector<std::pair<u32, CowPage*>> pages_;  // sorted by page index
-  std::vector<std::pair<u32, u64>> versions_;    // nonzero versions only
 };
 
 class PhysMem {
@@ -138,7 +140,8 @@ class PhysMem {
       : size_bytes_(size_bytes),
         nodes_((size_bytes + kPageMask) >> kPageBits, nullptr),
         read_((size_bytes + kPageMask) >> kPageBits, zero_page()),
-        versions_((size_bytes >> kPageBits) + 1, 0) {}
+        versions_((size_bytes >> kPageBits) + 1, 0),
+        code_(versions_.size(), 0) {}
   ~PhysMem();
   // Copying would need frame-refcount bookkeeping nothing wants; forks go
   // through capture_cow/adopt_cow instead. Move keeps by-value holders
@@ -176,11 +179,11 @@ class PhysMem {
            (u32(read8(a + 2)) << 16) | (u32(read8(a + 3)) << 24);
   }
   void write8(PAddr a, u8 v) {
-    ++versions_[a >> kPageBits];
+    retire_code(a, 1);
     wpage(a >> kPageBits)[a & kPageMask] = v;
   }
   void write16(PAddr a, u16 v) {
-    touch(a, 2);
+    retire_code(a, 2);
     const u32 off = a & kPageMask;
     if (off <= kPageSize - 2) [[likely]] {
       u8* p = wpage(a >> kPageBits) + off;
@@ -192,7 +195,7 @@ class PhysMem {
     put8(a + 1, static_cast<u8>(v >> 8));
   }
   void write32(PAddr a, u32 v) {
-    touch(a, 4);
+    retire_code(a, 4);
     const u32 off = a & kPageMask;
     if (off <= kPageSize - 4) [[likely]] {
       u8* p = wpage(a >> kPageBits) + off;
@@ -220,7 +223,7 @@ class PhysMem {
   /// Bulk copy into memory. Caller must check contains().
   void write_block(PAddr a, std::span<const u8> in) {
     if (in.empty()) return;
-    touch(a, static_cast<u32>(in.size()));
+    retire_code(a, static_cast<u32>(in.size()));
     std::size_t done = 0;
     while (done < in.size()) {
       const PAddr cur = a + static_cast<u32>(done);
@@ -233,7 +236,7 @@ class PhysMem {
   }
 
   /// Write-version of physical page `page` (= pa >> kPageBits). Monotonic;
-  /// bumped by every store that touches the page.
+  /// bumped each time the page is retired (see retire_code).
   u64 page_version(u32 page) const { return versions_[page]; }
   /// Stable pointer to a page's version word (versions_ never reallocates
   /// after construction). Lets the block dispatcher poll one page's version
@@ -241,6 +244,30 @@ class PhysMem {
   /// page *frames*, never the version table, so these stay valid across
   /// capture/adopt/fault.
   const u64* page_version_ptr(u32 page) const { return &versions_[page]; }
+
+  // --- decoded-code tracking ---
+  /// Marks [a, a+len) as decoded instruction bytes. The range lies inside
+  /// one page (blocks never cross a page boundary).
+  void mark_code(PAddr a, u32 len) {
+    const u32 lo = (a & kPageMask) >> kCodeChunkBits;
+    const u32 hi = ((a + len - 1) & kPageMask) >> kCodeChunkBits;
+    code_[a >> kPageBits] |= chunk_span(lo, hi);
+  }
+  /// Retires every page whose marked chunks [a, a+len) overlaps: bumps its
+  /// version and clears its mask. Every write calls this before it lands;
+  /// a page without decoded code costs one load and a predictable branch.
+  void retire_code(PAddr a, u32 len) {
+    const u32 first = a >> kPageBits;
+    const u32 last = (a + len - 1) >> kPageBits;
+    for (u32 p = first; p <= last; ++p) {
+      const u64 code = code_[p];
+      if (code == 0) [[likely]] continue;
+      const u32 lo = p == first ? (a & kPageMask) >> kCodeChunkBits : 0;
+      const u32 hi = p == last ? ((a + len - 1) & kPageMask) >> kCodeChunkBits
+                               : (kPageSize >> kCodeChunkBits) - 1;
+      if (code & chunk_span(lo, hi)) retire_page(p);
+    }
+  }
 
   // --- protected (monitor-owned) ranges ---
   void add_protected_range(PAddr begin, u32 len) {
@@ -272,9 +299,10 @@ class PhysMem {
   /// machine's resident frames are shared (refs >= 2); its next write to
   /// each one copies the frame first. Charge-free and version-neutral.
   CowPages capture_cow();
-  /// Replace the current contents (frames and versions) with a previously
-  /// captured table. Frames become shared with the capture; writes after
-  /// adoption copy-on-write. False on size mismatch. Self-adoption safe.
+  /// Replace the current contents with a previously captured table, after
+  /// retiring every page that holds decoded code. Frames become shared with
+  /// the capture; writes after adoption copy-on-write. False on size
+  /// mismatch. Self-adoption safe.
   bool adopt_cow(const CowPages& t);
 
   // --- host-side accounting (never serialized; mem.cow.* metrics) ---
@@ -288,12 +316,10 @@ class PhysMem {
   void register_metrics(MetricsRegistry& reg);
 
   // --- snapshot support ---
-  /// Sparse save: only pages with at least one nonzero byte are stored, plus
-  /// the full per-page version table. Versions roll back together with the
-  /// contents so a replay re-increments them exactly as the original run
-  /// did (snapshot byte-identity); the CPU invalidates its whole block
-  /// cache on restore, so blocks decoded before the rollback can never
-  /// match a rolled-back version.
+  /// Sparse save: only pages with at least one nonzero byte are stored.
+  /// Code masks and versions are host decode history and are not saved; a
+  /// full restore retires every marked page before it replaces the
+  /// contents, so no block decoded before the restore matches afterwards.
   void save(SnapshotWriter& w) const;
   /// External-contents save: writes only the size echo and a sentinel page
   /// count. The matching restore() leaves memory untouched — the caller
@@ -329,7 +355,7 @@ class PhysMem {
     }
     return cow_fault(page);
   }
-  /// Raw byte store without a version bump (callers already touch()ed).
+  /// Raw byte store without code retirement (callers already retired).
   void put8(PAddr a, u8 v) { wpage(a >> kPageBits)[a & kPageMask] = v; }
   u8* cow_fault(u32 page);
   /// Release `page` back to the all-zero sentinel.
@@ -338,12 +364,18 @@ class PhysMem {
   /// will fully overwrite (no copy of shared contents).
   u8* own_page_nocopy(u32 page);
 
-  /// Bumps the version of every page touched by a write of `len` bytes.
-  void touch(PAddr a, u32 len) {
-    const u32 first = a >> kPageBits;
-    const u32 last = (a + len - 1) >> kPageBits;
-    for (u32 p = first; p <= last; ++p) ++versions_[p];
+  /// Code-mask granularity: one mask bit per 64-byte chunk, 64 per page.
+  static constexpr u32 kCodeChunkBits = 6;
+  /// Mask bits lo..hi inclusive (chunk indices within one page).
+  static u64 chunk_span(u32 lo, u32 hi) {
+    return (~u64{0} >> (63 - hi)) & (~u64{0} << lo);
   }
+  void retire_page(u32 page) {
+    ++versions_[page];
+    code_[page] = 0;
+  }
+  /// Retires every page with decoded code (before contents are replaced).
+  void retire_all_code();
 
   struct Range {
     PAddr begin;
@@ -354,7 +386,11 @@ class PhysMem {
   // Read-pointer mirror of nodes_ (static zero page for null slots); purely
   // derived, rebuilt by every nodes_ mutation. snap:skip(derived from nodes_)
   std::vector<const u8*> read_;
+  // Host decode history (see the header comment), which restore retires
+  // instead of rolling back. snap:skip(host decode history)
   std::vector<u64> versions_;
+  // One bit per 64-byte chunk of decoded bytes. snap:skip(host decode history)
+  std::vector<u64> code_;
   // Install-time monitor ranges; restore targets an installed machine
   // where they are already in place. snap:skip(install-time)
   std::vector<Range> protected_;

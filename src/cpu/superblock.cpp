@@ -43,6 +43,12 @@ SbClass classify(Opcode op) {
     case Opcode::kJge: return SbClass::kJge;
     case Opcode::kJle: return SbClass::kJle;
     case Opcode::kJg: return SbClass::kJg;
+    case Opcode::kLd8: return SbClass::kLd8;
+    case Opcode::kLd16: return SbClass::kLd16;
+    case Opcode::kLd32: return SbClass::kLd32;
+    case Opcode::kSt8: return SbClass::kSt8;
+    case Opcode::kSt16: return SbClass::kSt16;
+    case Opcode::kSt32: return SbClass::kSt32;
     default: return SbClass::kGeneric;
   }
 }
@@ -151,11 +157,13 @@ SuperBlock* SuperblockCache::translate(const CachedBlock& blk,
   slot.version_ptr = mem.page_version_ptr(blk.pa >> kPageBits);
   slot.count = blk.count;
   slot.tail = classify_tail(blk.instrs[blk.count - 1].op);
-  // Pure = every non-tail instruction is a native register-only class. The
-  // native set never writes memory, never touches the TLB and never faults
-  // (div, loads/stores and all system ops classify as kGeneric), so between
-  // two instructions of a pure block the code page's version and the fetch
-  // translation provably cannot change.
+  // Pure = every non-tail instruction has a native class. Native handlers
+  // never touch the TLB, never fault and never call out (div, stack and
+  // system ops classify as kGeneric), so between two instructions of a pure
+  // block the fetch translation provably cannot change. The code page's
+  // version can, through a native store; that store clears the executor's
+  // purity on the spot, and a memory op that falls back to kGeneric
+  // revalidates like any generic op.
   bool pure = true;
   for (u16 i = 0; i + 1 < blk.count; ++i) {
     if (slot.instrs[i].cls == SbClass::kGeneric) {
@@ -165,20 +173,27 @@ SuperBlock* SuperblockCache::translate(const CachedBlock& blk,
   }
   slot.pure = pure;
   u16 muls = 0;
+  bool mem_ops = false;
   for (u16 i = 0; i < blk.count; ++i) {
-    if (slot.instrs[i].cls == SbClass::kMul ||
-        slot.instrs[i].cls == SbClass::kMulI) {
-      ++muls;
-    }
+    const SbClass c = slot.instrs[i].cls;
+    if (c == SbClass::kMul || c == SbClass::kMulI) ++muls;
+    if (c >= SbClass::kLd8 && c <= SbClass::kSt32) mem_ops = true;
   }
   slot.mul_count = muls;
   const u16 n = blk.count;
   slot.fast_charge = Cycles(n) * (costs.mem + costs.base);
-  slot.fast_worst = pure ? slot.fast_charge + Cycles(muls) * costs.mul +
-                               costs.branch_taken
-                         : SuperBlock::kNoFast;
+  slot.fast_worst = pure && !mem_ops ? slot.fast_charge +
+                                           Cycles(muls) * costs.mul +
+                                           costs.branch_taken
+                                     : SuperBlock::kNoFast;
   slot.fast_pc_step = u32(n - 1) * kInstrBytes;
-  slot.fast_icount = slot.tail == SbTail::kFallthrough ? n : u16(n - 1);
+  // A native fall-through tail retires in the batch; a generic one (a
+  // non-terminator cut by the page edge, the decode cap or an undecodable
+  // successor) retires in the generic handler like any other tail.
+  slot.fast_icount = slot.tail == SbTail::kFallthrough &&
+                             slot.instrs[n - 1].cls != SbClass::kGeneric
+                         ? n
+                         : u16(n - 1);
   slot.fast_tlb = u16(n - 1);
   for (u16 i = 0; i < blk.count; ++i) {
     SbClass fc = flags_dead_at(slot, i) ? nf_of(slot.instrs[i].cls)
@@ -228,15 +243,6 @@ void SuperblockCache::drop(SuperBlock& b, SbcStats& stats) {
   unchain_edge(b, 1, stats);
   b.valid = false;
   ++stats.invalidations;
-}
-
-void SuperblockCache::invalidate_range(PAddr begin, u32 len, SbcStats& stats) {
-  const PAddr end = begin + len;
-  for (auto& b : blocks_) {
-    if (b.valid && b.pa < end && begin < b.pa + u32(b.count) * kInstrBytes) {
-      drop(b, stats);
-    }
-  }
 }
 
 void SuperblockCache::invalidate_all(SbcStats& stats) {

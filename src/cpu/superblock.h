@@ -6,8 +6,9 @@
 // execution counter crosses the promotion threshold the dispatcher compiles
 // it into a SuperBlock: per-instruction handler pointers resolved once at
 // translation time (computed-goto dispatch, see Cpu::exec_superblock),
-// operand decode hoisted out of the loop, and — for *pure* blocks whose
-// non-tail instructions are all register-only — the per-instruction
+// operand decode hoisted out of the loop, loads and stores executed natively
+// behind an inline data-TLB hit check, and — for *pure* blocks whose
+// non-tail instructions all have native handlers — the per-instruction
 // revalidation replaced by the single page-version + fetch-translation guard
 // at superblock entry (the vTLB lookup inlined into the dispatcher).
 //
@@ -17,11 +18,12 @@
 // (taken / fall-through) so the dispatcher loop is skipped entirely. Every
 // chain follow re-checks the *target's* page version and the fetch
 // translation of the new pc, so chains are safe against self-modifying code
-// and remapping; on invalidate_range / invalidate_all / slot reuse the
-// incoming-jump list is walked and every edge into the dying block is
-// severed eagerly (the tb_phys_invalidate analog). Superblocks are
-// translated from cached blocks, which never span an armed breakpoint, and
-// arming one drops its page's superblocks, so no chain ever reaches it.
+// and remapping; when a stale block is dropped (at lookup, by a failed
+// chain guard, on slot reuse or by invalidate_all) the incoming-jump list
+// is walked and every edge into the dying block is severed eagerly (the
+// tb_phys_invalidate analog). Superblocks are translated from cached
+// blocks, which never span an armed breakpoint, and arming one retires its
+// page's decoded code, so no chain guard ever lets one run past it.
 //
 // Determinism contract: a superblock retires exactly the state, cycle
 // charges and counter movements of the block-cache tier (which itself
@@ -42,10 +44,12 @@
 namespace vdbg::cpu {
 
 /// Dispatch classes the threaded executor implements natively. Everything
-/// else (memory ops, div, privileged/system ops, dynamic branches) routes
+/// else (stack ops, div, privileged/system ops, dynamic branches) routes
 /// through kGeneric, which flushes executor locals and calls Cpu::execute.
 /// Branch classes can only appear as a block tail (branches terminate block
-/// decode); the non-branch classes are all register-only and non-faulting.
+/// decode). The other classes before kLd8 are register-only and
+/// non-faulting; kLd8..kSt32 run natively on an aligned data-TLB hit and
+/// hand every other case (a fault or a TLB fill included) to kGeneric.
 enum class SbClass : u8 {
   kNop,
   kMovI,
@@ -82,6 +86,12 @@ enum class SbClass : u8 {
   kJge,
   kJle,
   kJg,
+  kLd8,
+  kLd16,
+  kLd32,
+  kSt8,
+  kSt16,
+  kSt32,
   kGeneric,
   // Flag-elided twins used only via SbInstr::fast_handler: identical
   // arithmetic with the PSW update removed. Translation assigns one when a
@@ -175,11 +185,13 @@ struct SuperBlock {
   const u64* version_ptr = nullptr;
   u16 count = 0;
   bool valid = false;
-  /// True when every non-tail instruction is a native register-only op: the
+  /// True when every non-tail instruction has a native handler: the
   /// executor may elide the per-instruction version poll + fetch recheck
-  /// (nothing mid-block can write memory, touch the TLB or call out) and
-  /// charge the proven TLB hits in bulk. Impure blocks keep the exact
-  /// per-boundary revalidation of exec_block.
+  /// and charge the proven TLB hits in bulk. Native handlers never touch the
+  /// TLB or call out; a native store that retires this block's own page
+  /// clears the executor's copy of the flag, and a memory op that falls back
+  /// to the generic path revalidates at its boundary. Impure blocks keep the
+  /// exact per-boundary revalidation of exec_block.
   bool pure = false;
   /// Number of kMul/kMulI instructions (they charge costs_.mul on top of the
   /// fetch cost). With it, a pure block's worst-case cycle charge is a
@@ -193,14 +205,15 @@ struct SuperBlock {
   /// total fetch charge for the whole block (count * (mem + base)).
   Cycles fast_charge = 0;
   /// Worst-case cycle charge of one full execution: fast_charge plus every
-  /// multiply plus one taken branch. kNoFast for impure blocks, which makes
-  /// the executor's `cycles + fast_worst < stop` test fail naturally and
-  /// folds the purity check into the budget check.
+  /// multiply plus one taken branch. kNoFast for impure blocks and for
+  /// blocks with a load or store (which may fall back or fault mid-block),
+  /// so the executor's `cycles + fast_worst < stop` test fails naturally and
+  /// folds both checks into the budget check.
   Cycles fast_worst = kNoFast;
   static constexpr Cycles kNoFast = ~Cycles{0} / 2;
   u32 fast_pc_step = 0;   // (count-1)*8: parks pc on the tail instruction
   u16 fast_icount = 0;    // batched retires (count, or count-1 if the tail
-                          // retires in its own branch handler)
+                          // retires in its own branch or generic handler)
   u16 fast_tlb = 0;       // proven fetch TLB hits per execution (count-1)
   SbTail tail = SbTail::kStop;
   /// Direct chain edges (tb_add_jump): [0] = fall-through / not-taken
@@ -227,6 +240,8 @@ struct SbcStats {
   u64 chains = 0;        // direct block-to-block transitions taken
   u64 unchains = 0;      // chain edges severed (guard failure or eager)
   u64 invalidations = 0; // superblocks dropped (stale / explicit / reuse)
+  u64 mem_native = 0;     // loads/stores that took the native TLB-hit path
+  u64 mem_fallbacks = 0;  // loads/stores handed to the generic path
 };
 
 /// Direct-mapped, physically-indexed cache of translated superblocks.
@@ -244,8 +259,8 @@ class SuperblockCache {
   SuperblockCache() : blocks_(kNumBlocks) {}
 
   /// Hit path: the superblock at physical `pa` iff present and its code
-  /// page is unwritten since translation. A slot found stale (same pa,
-  /// bumped page version — a store hit the code page) is dropped eagerly
+  /// page is unretired since translation. A slot found stale (same pa,
+  /// bumped page version — a write hit decoded bytes) is dropped eagerly
   /// so every chain through it is severed now, not when the slot happens
   /// to be reused. No hit-counter movement (the dispatcher counts hits
   /// itself); on miss the caller falls back to the block-cache tier, which
@@ -270,10 +285,6 @@ class SuperblockCache {
   /// Severs one chain edge and its back-reference. Exposed for the executor's
   /// lazy unchain on a failed chain guard.
   static void unchain_edge(SuperBlock& from, u8 slot, SbcStats& stats);
-
-  /// Drops every superblock overlapping physical [begin, begin+len),
-  /// unchaining all edges in and out of each (tb_phys_invalidate analog).
-  void invalidate_range(PAddr begin, u32 len, SbcStats& stats);
 
   /// Drops everything (snapshot restore, explicit full invalidation).
   void invalidate_all(SbcStats& stats);

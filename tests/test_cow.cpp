@@ -1,11 +1,17 @@
 // Copy-on-write physical memory tests: frame sharing between a machine and
 // its captures, write isolation across forked siblings, delta-capture
-// accounting (fresh pages = dirtied since the previous capture), and the
-// TimeTravel property the multiverse rests on — a delta checkpoint restores
-// to state byte-identical with a full self-contained snapshot.
+// accounting (fresh pages = dirtied since the previous capture), decoded-
+// code tracking (which writes retire a page, and that adopting or restoring
+// contents retires every decoded page), and the TimeTravel property the
+// multiverse rests on — a delta checkpoint restores to state byte-identical
+// with a full self-contained snapshot.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
 #include "common/metrics.h"
+#include "common/snapshot.h"
 #include "common/units.h"
 #include "cpu/phys_mem.h"
 #include "guest/minitactix.h"
@@ -76,23 +82,119 @@ TEST(CowPhysMem, ForkedSiblingsWriteTheSamePageWithoutInterference) {
   EXPECT_EQ(witness.read32(addr), 0xa11ceu);
 }
 
-TEST(CowPhysMem, AdoptRollsBackContentsAndVersionsTogether) {
+// ------------------------------------------------- decoded-code tracking --
+
+TEST(PhysMemCode, WritesRetireExactlyThePagesWhoseMarkedChunksTheyOverlap) {
+  // Pages 2..5; the block cache marks the 64-byte chunks it decoded.
   PhysMem m(kMemBytes);
-  const u32 page = 3;
-  const u32 addr = page * kPageSize;
-  m.write32(addr, 1);
-  m.write32(addr, 2);
-  const u64 v_at_capture = m.page_version(page);
+  const u32 p2 = 2 * kPageSize, p3 = 3 * kPageSize, p5 = 5 * kPageSize;
+  std::array<u64, 4> seen{};
+  // Which of pages 2..5 were retired since the previous call, as a bitmask.
+  const auto retired = [&] {
+    unsigned bits = 0;
+    for (u32 i = 0; i < 4; ++i) {
+      const u64 v = m.page_version(2 + i);
+      if (v != seen[i]) bits |= 1u << i;
+      seen[i] = v;
+    }
+    return bits;
+  };
+  const auto mark = [&] {
+    m.mark_code(p2 + 0x40, 0x40);  // page 2, chunk 1 only
+    m.mark_code(p3, 8);            // page 3, chunk 0
+    m.mark_code(p5 + 0x140, 16);   // page 5, chunk 5
+  };
+  mark();
+  retired();
+
+  m.write8(p2 + 0x3f, 1);  // chunk 0: data next to code
+  m.write8(p2 + 0x80, 1);  // chunk 2
+  m.write32(p2 + 0xffc, 1);
+  m.write8(p3 + 0x40, 1);
+  EXPECT_EQ(retired(), 0u) << "a write beside decoded bytes retired a page";
+
+  m.write8(p2 + 0x40, 1);
+  EXPECT_EQ(retired(), 0b0001u);
+  m.write8(p2 + 0x40, 2);  // retiring cleared page 2's mask
+  EXPECT_EQ(retired(), 0u);
+
+  mark();
+  retired();
+  m.write16(p2 + 0x7f, 1);  // straddles chunks 1 and 2 (host writes may)
+  EXPECT_EQ(retired(), 0b0001u);
+  mark();
+  retired();
+  m.write32(p2 + 0x3e, 1);  // straddles chunks 0 and 1
+  EXPECT_EQ(retired(), 0b0001u);
+
+  mark();
+  retired();
+  m.write32(p3 - 2, 1);  // last chunk of page 2, first chunk of page 3
+  EXPECT_EQ(retired(), 0b0010u);
+
+  // A bulk write over the tail of page 2, all of pages 3 and 4, and the
+  // head of page 5 retires exactly the pages with marked chunks in range.
+  mark();
+  retired();
+  std::vector<u8> bytes(p5 + 0x140 - (p2 + 0x800), 0xab);
+  m.write_block(p2 + 0x800, bytes);
+  EXPECT_EQ(retired(), 0b0010u) << "page 5's chunk 5 starts past the write";
+  mark();
+  retired();
+  bytes.push_back(0xcd);
+  m.write_block(p2 + 0x800, bytes);
+  EXPECT_EQ(retired(), 0b1010u);
+}
+
+/// Snapshot stream holding only `m`'s PhysMem section.
+std::vector<u8> save_mem(const PhysMem& m) {
+  SnapshotWriter w;
+  w.begin_section(SnapTag::kPhysMem);
+  m.save(w);
+  w.end_section();
+  return w.finish();
+}
+
+TEST(CowPhysMem, AdoptAndRestoreRetireDecodedCode) {
+  // Page versions record decode history, not contents, so they never roll
+  // back. Replacing the contents — adopting a capture, or restoring a full
+  // stream — retires every page holding decoded code (its version moves
+  // past every block decoded from it) and leaves the other pages alone.
+  PhysMem m(kMemBytes);
+  const u32 code = 3 * kPageSize;
+  const u32 data = 4 * kPageSize;
+  m.write32(code, 1);
+  m.write32(data, 2);
   const CowPages snap = m.capture_cow();
+  const auto stream = save_mem(m);
 
-  m.write32(addr, 3);
-  EXPECT_GT(m.page_version(page), v_at_capture);
+  m.mark_code(code, 64);
+  u64 v_code = m.page_version(3);
+  const u64 v_data = m.page_version(4);
+  m.write32(code, 5);  // lands on decoded bytes: retires the page
+  EXPECT_GT(m.page_version(3), v_code);
 
+  m.mark_code(code, 64);
+  v_code = m.page_version(3);
   ASSERT_TRUE(m.adopt_cow(snap));
-  EXPECT_EQ(m.read32(addr), 2u);
-  EXPECT_EQ(m.page_version(page), v_at_capture)
-      << "versions must roll back with the contents so a replayed run "
-         "re-increments them identically";
+  EXPECT_EQ(m.read32(code), 1u);
+  EXPECT_GT(m.page_version(3), v_code) << "adopt kept a decoded page";
+  EXPECT_EQ(m.page_version(4), v_data);
+  // Retiring cleared the mask: the page holds no decoded code any more.
+  v_code = m.page_version(3);
+  m.write32(code, 6);
+  EXPECT_EQ(m.page_version(3), v_code);
+
+  m.mark_code(code, 64);
+  SnapshotReader r(stream);
+  ASSERT_TRUE(r.open_section(SnapTag::kPhysMem));
+  ASSERT_TRUE(m.restore(r));
+  EXPECT_EQ(m.read32(code), 1u);
+  EXPECT_GT(m.page_version(3), v_code) << "restore kept a decoded page";
+  EXPECT_EQ(m.page_version(4), v_data);
+
+  // Decode history is not saved: the same contents give the same stream.
+  EXPECT_EQ(save_mem(m), stream);
 }
 
 TEST(CowPhysMem, SelfAdoptionIsSafe) {

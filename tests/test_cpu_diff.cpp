@@ -12,8 +12,13 @@
 //    injected external interrupts. Every slice, the architectural state,
 //    cycle count and (non-telemetry) stats of all three CPUs must be
 //    bit-identical; that is the fast paths' correctness contract.
+//  * The same lockstep loop with guest paging on, partly at ring 3, over a
+//    load/store-heavy mix that reaches every fallback of the superblock
+//    tier's native loads and stores.
 //  * Directed superblock cases: chain unchaining under self-modifying code
-//    and breakpoint patching, chaining across a page-boundary block cut,
+//    and breakpoint patching, data stores beside hot code that must not
+//    retire it, a hot block's store into its own later instruction, a
+//    generic fall-through tail, chaining across a page-boundary block cut,
 //    the generic-tail self-chain guard, and the monitor's armed
 //    breakpoints, step requests and write watchpoints across all three
 //    tiers.
@@ -22,6 +27,7 @@
 #include <array>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 
 #include "common/rng.h"
 #include "testutil.h"
@@ -228,9 +234,12 @@ constexpr u8 kExtVector = 48;  // external interrupts in the fuzz
 
 /// Emits a 64-gate IDT whose handlers keep the program running: fault
 /// vectors (< 32) skip the faulting instruction (saved pc += 8) and IRET;
-/// trap-style vectors (software INT, external) plain IRET. Label names:
-/// "skip_stub", "iret_stub", "idt".
-void emit_fuzz_idt(Assembler& a) {
+/// trap-style vectors (software INT, external) IRET, after reading and
+/// rewriting the word at `ring0_word` when it is nonzero (so a ring-3
+/// program resumes with a ring-0 TLB entry for it). Every gate has
+/// privilege `dpl` and enters ring 0. Label names: "skip_stub",
+/// "iret_stub", "idt".
+void emit_fuzz_idt(Assembler& a, u8 dpl = 0, u32 ring0_word = 0) {
   using cpu::kR0;
   using cpu::kSp;
   a.label("skip_stub");
@@ -242,30 +251,75 @@ void emit_fuzz_idt(Assembler& a) {
   a.pop(kR0);
   a.iret();
   a.label("iret_stub");
+  if (ring0_word != 0) {
+    a.push(kR0);
+    a.push(cpu::kR1);
+    a.movi(cpu::kR1, ring0_word);
+    a.ld32(kR0, cpu::kR1, 0);
+    a.st32(cpu::kR1, 0, kR0);
+    a.pop(cpu::kR1);
+    a.pop(kR0);
+  }
   a.iret();
   a.align(8);
   a.label("idt");
   for (u32 v = 0; v < 64; ++v) {
     a.data_ref(l(v < 32 ? "skip_stub" : "iret_stub"));
-    a.data32(cpu::Gate{0, true, 0, 0}.pack_flags());
+    a.data32(cpu::Gate{0, true, dpl, 0}.pack_flags());
   }
 }
 
+cpu::Reg fuzz_reg(Rng& rng) { return static_cast<cpu::Reg>(rng.below(5)); }
+
+/// Instruction mix of a random fuzz program: cumulative percentage upper
+/// bounds per kind (stack traffic takes the rest), plus the emitters of the
+/// two store-heavy kinds.
+struct FuzzMix {
+  unsigned alu, mem, control, call, trap, smc;
+  void (*mem_op)(Assembler&, Rng&);                // one data access
+  void (*smc_op)(Assembler&, Rng&, unsigned len);  // a store into the code
+  bool loop;  // after the closing hlt, jump back to L0 (ring 3 skips hlt)
+};
+
+/// Scratch-window access, word aligned; r6 = scratch base.
+void emit_scratch_access(Assembler& a, Rng& rng) {
+  const i32 disp = static_cast<i32>(rng.below(1024)) * 4;
+  if (rng.chance(0.5)) {
+    a.ld32(fuzz_reg(rng), cpu::kR6, disp);
+  } else {
+    a.st32(cpu::kR6, disp, fuzz_reg(rng));
+  }
+}
+
+/// Self-modifying store into the program image: r5 holds the program base;
+/// clobber a random instruction word. The block cache must detect the new
+/// page version; the uncached CPU refetches anyway.
+void emit_smc_word(Assembler& a, Rng& rng, unsigned len) {
+  const i32 disp = static_cast<i32>(rng.below(len)) * 8 +
+                   (rng.chance(0.5) ? 4 : 0);
+  a.st32(cpu::kR5, disp, fuzz_reg(rng));
+}
+
+/// The unpaged ring-0 mix: control-flow heavy, aligned scratch ld32/st32.
+constexpr FuzzMix kUnpagedMix{45, 60, 78, 86, 92, 96, emit_scratch_access,
+                              emit_smc_word, false};
+
 /// A random control-flow-heavy program over labels "L0".."L<n-1>" placed
-/// every 8 instructions. r6 = scratch base, r5 = program base (self-mod
-/// store target), r0-r4 general. Returns nothing; emits into `a`.
-void emit_fuzz_program(Assembler& a, Rng& rng, unsigned len) {
+/// every 8 instructions. r6 = data base, r5 = program base (self-mod store
+/// target), r0-r4 general. Returns nothing; emits into `a`.
+void emit_fuzz_program(Assembler& a, Rng& rng, unsigned len,
+                       const FuzzMix& mix = kUnpagedMix) {
   using namespace cpu;
   const unsigned num_labels = len / 8 + 1;
   auto rnd_label = [&] { return l("L" + std::to_string(rng.below(num_labels))); };
-  auto rnd_reg = [&] { return static_cast<Reg>(rng.below(5)); };  // r0-r4
+  auto rnd_reg = [&] { return fuzz_reg(rng); };  // r0-r4
   unsigned next_label = 0;
   for (unsigned i = 0; i < len; ++i) {
     if (i % 8 == 0 && next_label < num_labels) {
       a.label("L" + std::to_string(next_label++));
     }
     const unsigned kind = static_cast<unsigned>(rng.below(100));
-    if (kind < 45) {
+    if (kind < mix.alu) {
       // Plain ALU op (register or immediate form); memory is handled below.
       Instr in = random_instr(rng);
       while (in.op == Opcode::kLd32 || in.op == Opcode::kSt32) {
@@ -273,15 +327,9 @@ void emit_fuzz_program(Assembler& a, Rng& rng, unsigned len) {
       }
       const auto bytes = in.encode();
       for (u8 byte : bytes) a.data8(byte);
-    } else if (kind < 60) {
-      // Scratch-window memory access, word aligned.
-      const i32 disp = static_cast<i32>(rng.below(1024)) * 4;
-      if (rng.chance(0.5)) {
-        a.ld32(rnd_reg(), kR6, disp);
-      } else {
-        a.st32(kR6, disp, rnd_reg());
-      }
-    } else if (kind < 78) {
+    } else if (kind < mix.mem) {
+      mix.mem_op(a, rng);
+    } else if (kind < mix.control) {
       // Control flow to a random label (forward or backward).
       switch (rng.below(6)) {
         case 0: a.jmp(rnd_label()); break;
@@ -291,7 +339,7 @@ void emit_fuzz_program(Assembler& a, Rng& rng, unsigned len) {
         case 4: a.jae(rnd_label()); break;
         default: a.cmpi(rnd_reg(), rng.next_u32()); break;
       }
-    } else if (kind < 86) {
+    } else if (kind < mix.call) {
       // Call/ret pairs are intentionally unbalanced; a RET into garbage
       // faults and the skip handler moves on. Both rigs see it identically.
       if (rng.chance(0.7)) {
@@ -299,7 +347,7 @@ void emit_fuzz_program(Assembler& a, Rng& rng, unsigned len) {
       } else {
         a.ret();
       }
-    } else if (kind < 92) {
+    } else if (kind < mix.trap) {
       // Trapping instructions: software INT (trap-style resume), BRK
       // (#BP skip), divide by a possibly-zero register (#DE skip).
       switch (rng.below(3)) {
@@ -307,13 +355,8 @@ void emit_fuzz_program(Assembler& a, Rng& rng, unsigned len) {
         case 1: a.brk(); break;
         default: a.divu(rnd_reg(), rnd_reg(), rnd_reg()); break;
       }
-    } else if (kind < 96) {
-      // Self-modifying store into the program image: r5 holds the program
-      // base; clobber a random instruction word. The block cache must
-      // detect the new page version; the uncached CPU refetches anyway.
-      const i32 disp = static_cast<i32>(rng.below(len)) * 8 +
-                       (rng.chance(0.5) ? 4 : 0);
-      a.st32(kR5, disp, rnd_reg());
+    } else if (kind < mix.smc) {
+      mix.smc_op(a, rng, len);
     } else {
       // Stack traffic.
       if (rng.chance(0.5)) {
@@ -325,6 +368,7 @@ void emit_fuzz_program(Assembler& a, Rng& rng, unsigned len) {
   }
   while (next_label < num_labels) a.label("L" + std::to_string(next_label++));
   a.hlt();
+  if (mix.loop) a.jmp(l("L0"));
 }
 
 /// Asserts rig `b` (a fast tier) is architecturally bit-identical to the
@@ -375,14 +419,64 @@ u64 env_u64(const char* name, u64 fallback) {
   return (end != nullptr && *end == '\0') ? parsed : fallback;
 }
 
+/// The three rigs of one lockstep trial: tier 0 (slow interpreter), tier 1
+/// (block cache only) and tier 2 (superblocks on top).
+struct TierRigs {
+  TierRigs() {
+    interp.cpu.set_block_cache_enabled(false);
+    block.cpu.set_superblocks_enabled(false);
+  }
+  std::array<DiffRig*, 3> all() { return {&interp, &block, &super}; }
+  DiffRig interp, block, super;
+};
+
+/// Runs the rigs in lockstep for 60 slices, injecting an external interrupt
+/// every fifth slice. After every slice the fast tiers must be bit-identical
+/// to the interpreter, and every seventh slice their whole memory too;
+/// `after_slice` then runs (with the memory just compared on those slices).
+/// Stops early at a fatal mismatch or when the interpreter shut down.
+void run_lockstep(TierRigs& t, int trial,
+                  const std::function<void(int slice)>& after_slice = {}) {
+  for (int slice = 0; slice < 60; ++slice) {
+    // Deterministic external interrupt injection between slices.
+    if (slice % 5 == 2) {
+      for (DiffRig* r : t.all()) r->intr.assert_vector(kExtVector);
+    }
+    const auto ra = t.interp.cpu.run(997);
+    const auto rb = t.block.cpu.run(997);
+    const auto rc = t.super.cpu.run(997);
+    ASSERT_EQ(ra, rb) << "trial " << trial << " slice " << slice;
+    ASSERT_EQ(ra, rc) << "trial " << trial << " slice " << slice;
+    expect_rigs_identical(t.interp, t.block, trial, slice, "block-cache");
+    if (::testing::Test::HasFatalFailure()) return;
+    expect_rigs_identical(t.interp, t.super, trial, slice, "superblock");
+    if (::testing::Test::HasFatalFailure()) return;
+
+    // Periodic full-memory compare (self-modifying stores and stack
+    // traffic must land identically).
+    if (slice % 7 == 0) {
+      const auto ma = dump_mem(t.interp.mem);
+      ASSERT_EQ(ma, dump_mem(t.block.mem))
+          << "trial " << trial << " slice " << slice;
+      ASSERT_EQ(ma, dump_mem(t.super.mem))
+          << "trial " << trial << " slice " << slice;
+    }
+    if (after_slice) after_slice(slice);
+    if (::testing::Test::HasFatalFailure()) return;
+    if (t.interp.cpu.shutdown()) break;  // triple fault: all dead (checked)
+  }
+  for (DiffRig* r : {&t.block, &t.super}) {
+    ASSERT_EQ(dump_mem(t.interp.mem), dump_mem(r->mem)) << "trial " << trial;
+  }
+}
+
 TEST(CpuDifferential, ThreeTierLockstepFuzz) {
   const int trials = static_cast<int>(env_u64("VDBG_FUZZ_TRIALS", 30));
   Rng rng(env_u64("VDBG_FUZZ_SEED", 20260806));
   u64 total_hits = 0, total_builds = 0, total_invals = 0;
   cpu::SbcStats sb_totals;
   for (int trial = 0; trial < trials; ++trial) {
-    // One program image, loaded into three rigs: tier 0 (slow interpreter),
-    // tier 1 (block cache only) and tier 2 (superblocks on top).
+    // One program image, loaded into all three rigs.
     Assembler a(0x1000);
     a.movi(cpu::kR0, l("idt"));
     a.lidt(cpu::kR0, 64);
@@ -395,59 +489,27 @@ TEST(CpuDifferential, ThreeTierLockstepFuzz) {
     emit_fuzz_idt(a);
     auto prog = a.finalize();
 
-    DiffRig interp, block, super;
-    interp.cpu.set_block_cache_enabled(false);
-    block.cpu.set_superblocks_enabled(false);
-    for (DiffRig* r : {&interp, &block, &super}) {
+    TierRigs t;
+    for (DiffRig* r : t.all()) {
       prog.load(r->mem);
       r->cpu.state().pc = 0x1000;
     }
-
-    for (int slice = 0; slice < 60; ++slice) {
-      // Deterministic external interrupt injection between slices.
-      if (slice % 5 == 2) {
-        for (DiffRig* r : {&interp, &block, &super}) {
-          r->intr.assert_vector(kExtVector);
-        }
-      }
-      const auto ra = interp.cpu.run(997);
-      const auto rb = block.cpu.run(997);
-      const auto rc = super.cpu.run(997);
-      ASSERT_EQ(ra, rb) << "trial " << trial << " slice " << slice;
-      ASSERT_EQ(ra, rc) << "trial " << trial << " slice " << slice;
-      expect_rigs_identical(interp, block, trial, slice, "block-cache");
-      if (::testing::Test::HasFatalFailure()) return;
-      expect_rigs_identical(interp, super, trial, slice, "superblock");
-      if (::testing::Test::HasFatalFailure()) return;
-
-      // Periodic full-memory compare (self-modifying stores and stack
-      // traffic must land identically).
-      if (slice % 7 == 0) {
-        const auto ma = dump_mem(interp.mem);
-        const auto mb = dump_mem(block.mem);
-        const auto mc = dump_mem(super.mem);
-        ASSERT_EQ(ma, mb) << "trial " << trial << " slice " << slice;
-        ASSERT_EQ(ma, mc) << "trial " << trial << " slice " << slice;
-      }
-      if (interp.cpu.shutdown()) break;  // triple fault: all dead (checked)
-    }
-    for (DiffRig* r : {&block, &super}) {
-      ASSERT_EQ(dump_mem(interp.mem), dump_mem(r->mem)) << "trial " << trial;
-    }
-    total_hits += block.cpu.stats().block_hits;
-    total_builds += block.cpu.stats().block_builds;
-    total_invals += block.cpu.stats().block_invalidations;
-    const auto& sbc = super.cpu.sbc_stats();
+    run_lockstep(t, trial);
+    if (::testing::Test::HasFatalFailure()) return;
+    total_hits += t.block.cpu.stats().block_hits;
+    total_builds += t.block.cpu.stats().block_builds;
+    total_invals += t.block.cpu.stats().block_invalidations;
+    const auto& sbc = t.super.cpu.sbc_stats();
     sb_totals.translations += sbc.translations;
     sb_totals.hits += sbc.hits;
     sb_totals.chains += sbc.chains;
     sb_totals.unchains += sbc.unchains;
     sb_totals.invalidations += sbc.invalidations;
-    EXPECT_EQ(0u, interp.cpu.stats().block_hits);
-    EXPECT_EQ(0u, interp.cpu.stats().block_builds);
+    EXPECT_EQ(0u, t.interp.cpu.stats().block_hits);
+    EXPECT_EQ(0u, t.interp.cpu.stats().block_builds);
     // Tier 1's superblock switch is off: its sbc stats must stay zero.
-    EXPECT_EQ(0u, block.cpu.sbc_stats().translations);
-    EXPECT_EQ(0u, block.cpu.sbc_stats().hits);
+    EXPECT_EQ(0u, t.block.cpu.sbc_stats().translations);
+    EXPECT_EQ(0u, t.block.cpu.sbc_stats().hits);
   }
   // The fuzz must actually have exercised the fast paths and both
   // invalidation mechanisms, or the whole comparison is vacuous. The rare
@@ -464,6 +526,183 @@ TEST(CpuDifferential, ThreeTierLockstepFuzz) {
   EXPECT_GT(sb_totals.chains, 0u) << "no direct chain was ever followed";
   EXPECT_GT(sb_totals.invalidations, 0u)
       << "no superblock was ever dropped across all trials";
+}
+
+// ---------------------------------------------------------------------------
+// Paged, memory-heavy lockstep fuzz
+// ---------------------------------------------------------------------------
+
+// Layout of the paged fuzz. One page table maps the low 4 MiB; the program
+// and its IDT sit on code vpn 1 (user RW, so ring 3 runs it and may store
+// into it), and every data page below is chosen to reach one of the native
+// load/store path's fallbacks. PTEs start with A and D clear.
+constexpr u32 kPdPhys = 0xf0000;
+constexpr u32 kPtPhys = 0xf1000;
+constexpr u32 kKernelStackTop = 0x9000;  // vpn 8: event entries into ring 0
+constexpr u32 kUserStackTop = 0xa000;    // vpn 9
+constexpr u32 kCodeDataVa = 0x1e00;      // tail of the code page, never code
+constexpr u32 kCodeAliasVa = 0x50000;    // the code frame again, at vpn 0x50
+struct FuzzPage {
+  u32 vpn;
+  u32 frame;
+  bool w;
+  bool u;
+};
+constexpr FuzzPage kFuzzPages[] = {
+    {0x01, 0x01, true, true},    // program + IDT (+ kCodeDataVa)
+    {0x02, 0x02, true, true},    // the longest programs spill over
+    {0x08, 0x08, true, false},   // kernel stack
+    {0x09, 0x09, true, true},    // user stack
+    {0x10, 0x10, true, true},    // user data
+    {0x11, 0x11, false, true},   // user read-only
+    {0x12, 0x12, true, false},   // supervisor-only
+    {0x13, 0x13, false, false},  // supervisor read-only
+    {0x15, 0x400, true, true},   // a frame past the end of physical memory
+    {0x41, 0x20, true, true},    // shares the TLB slot of code vpn 1
+    {0x42, 0x21, true, true},    // shares the TLB slot of code vpn 2
+    {0x50, 0x01, true, true},    // user alias of the code frame
+};
+/// A supervisor word the trap-style handler touches at ring 0, so ring-3
+/// accesses to its page meet a TLB entry they may not use.
+constexpr u32 kRing0Word = 0x12000;
+/// Data pages a random access picks from; vpn 0x14 is not present.
+constexpr u32 kFuzzDataVpns[] = {0x10, 0x10, 0x10, 0x11, 0x12, 0x13,
+                                 0x14, 0x15, 0x41, 0x41, 0x42};
+
+void map_fuzz_pages(cpu::PhysMem& m) {
+  m.write32(kPdPhys, cpu::Pte::make(kPtPhys, true, true));
+  for (const FuzzPage& p : kFuzzPages) {
+    m.write32(kPtPhys + p.vpn * 4,
+              cpu::Pte::make(p.frame << cpu::kPageBits, p.w, p.u));
+  }
+}
+
+/// One ld8/16/32 or st8/16/32 at an absolute address (r6 = 0): mostly the
+/// data pages, some the code page's data tail (directly or through the
+/// alias), a few misaligned or off a random register.
+void emit_paged_access(Assembler& a, Rng& rng) {
+  static const Opcode kLoads[] = {Opcode::kLd8, Opcode::kLd16, Opcode::kLd32};
+  static const Opcode kStores[] = {Opcode::kSt8, Opcode::kSt16, Opcode::kSt32};
+  const bool store = rng.chance(0.5);
+  const unsigned width = static_cast<unsigned>(rng.below(3));
+  Instr in;
+  in.op = store ? kStores[width] : kLoads[width];
+  in.rd = static_cast<u8>(fuzz_reg(rng));
+  in.rs2 = static_cast<u8>(fuzz_reg(rng));
+  in.rs1 = cpu::kR6;
+  const unsigned where = static_cast<unsigned>(rng.below(100));
+  if (where < 20) {
+    const u32 base = where < 15 ? kCodeDataVa : kCodeAliasVa + 0xe00;
+    in.imm = base + static_cast<u32>(rng.below(0x200));
+  } else if (where < 97) {
+    const u32 vpn = kFuzzDataVpns[rng.below(std::size(kFuzzDataVpns))];
+    in.imm = (vpn << cpu::kPageBits) | static_cast<u32>(rng.below(cpu::kPageSize));
+  } else {
+    in.rs1 = static_cast<u8>(fuzz_reg(rng));
+    in.imm = static_cast<u32>(rng.below(64));
+  }
+  if (!rng.chance(0.05)) in.imm &= ~((1u << width) - 1);  // else misaligned
+  const auto bytes = in.encode();
+  for (u8 byte : bytes) a.data8(byte);
+}
+
+/// A store of any width into a random decoded instruction (r5 = L0).
+void emit_smc_any(Assembler& a, Rng& rng, unsigned len) {
+  const i32 disp = static_cast<i32>(rng.below(len * cpu::kInstrBytes));
+  switch (rng.below(3)) {
+    case 0: a.st8(cpu::kR5, disp, fuzz_reg(rng)); break;
+    case 1: a.st16(cpu::kR5, disp & ~1, fuzz_reg(rng)); break;
+    default: a.st32(cpu::kR5, disp & ~3, fuzz_reg(rng)); break;
+  }
+}
+
+/// Memory ops are 55 % of the body, plus 3 % stores into its own code.
+constexpr FuzzMix kPagedMix{15, 70, 84, 88, 91, 94, emit_paged_access,
+                            emit_smc_any, true};
+
+TEST(CpuDifferential, ThreeTierPagedMemoryFuzz) {
+  // The lockstep fuzz again, with guest paging on, most trials at ring 3
+  // and a load/store-heavy body: every fallback of the superblock tier's
+  // native loads and stores (misaligned, TLB miss, supervisor page from
+  // ring 3, read-only page, D bit still clear, not present, a data vpn
+  // evicting the code vpn's TLB slot) must retire exactly what the
+  // interpreter does. Stores land on code-page data and on decoded
+  // instructions, and the rigs run on memory adopted from a capture_cow()
+  // that they later roll back to.
+  const int trials = static_cast<int>(env_u64("VDBG_FUZZ_TRIALS", 30));
+  Rng rng(env_u64("VDBG_FUZZ_SEED", 20261017));
+  u64 total_invals = 0, mem_native = 0, mem_fallbacks = 0, ring3_trials = 0;
+  for (int trial = 0; trial < trials; ++trial) {
+    Assembler a(0x1000);
+    const unsigned len = static_cast<unsigned>(rng.between(24, 160));
+    emit_fuzz_program(a, rng, len, kPagedMix);
+    emit_fuzz_idt(a, /*dpl=*/3, kRing0Word);
+    auto prog = a.finalize();
+    const bool ring3 = rng.chance(0.7);
+    ring3_trials += ring3;
+
+    TierRigs t;
+    prog.load(t.interp.mem);
+    map_fuzz_pages(t.interp.mem);
+    const cpu::CowPages boot = t.interp.mem.capture_cow();
+    for (DiffRig* r : t.all()) {
+      ASSERT_TRUE(r->mem.adopt_cow(boot));
+      auto& st = r->cpu.state();
+      st.pc = prog.symbol("L0").value();
+      st.psw = cpu::Psw::kIf | (ring3 ? cpu::kRing3 : cpu::kRing0);
+      st.regs[cpu::kSp] = kUserStackTop;
+      st.regs[cpu::kR5] = st.pc;
+      st.cr[cpu::kCr0] = cpu::kCr0PgBit;
+      st.cr[cpu::kCr3] = kPdPhys;
+      st.cr[cpu::kCrMonitorSp] = kKernelStackTop;
+      st.idt_base = prog.symbol("idt").value();
+      st.idt_count = 64;
+    }
+    // The page table is compared every slice: a store through a read-filled
+    // TLB entry must set its PTE's D bit exactly when the interpreter does,
+    // and later walks would hide a miss. Every tenth slice the harness
+    // cleans every D bit and flushes the TLB, as an OS writing back dirty
+    // pages would, so hot blocks meet read-filled entries again. The memory
+    // of slice 14 is captured;
+    // all three roll back to it at slice 28 and to the boot image at slice
+    // 42 (each just compared): blocks decoded from the newer contents must
+    // not survive an adoption.
+    cpu::CowPages saved;
+    run_lockstep(t, trial, [&](int slice) {
+      std::array<u8, cpu::kPageSize> pt;
+      t.interp.mem.read_block(kPtPhys, pt);
+      for (DiffRig* r : {&t.block, &t.super}) {
+        std::array<u8, cpu::kPageSize> other;
+        r->mem.read_block(kPtPhys, other);
+        ASSERT_EQ(pt, other) << "trial " << trial << " slice " << slice;
+      }
+      if (slice % 10 == 5) {
+        for (DiffRig* r : t.all()) {
+          for (const FuzzPage& p : kFuzzPages) {
+            const PAddr pte = kPtPhys + p.vpn * 4;
+            r->mem.write32(pte, r->mem.read32(pte) & ~cpu::Pte::kD);
+          }
+          r->cpu.mmu().flush_tlb();
+        }
+      }
+      if (slice == 14) saved = t.interp.mem.capture_cow();
+      if (slice == 28 || slice == 42) {
+        for (DiffRig* r : t.all()) {
+          ASSERT_TRUE(r->mem.adopt_cow(slice == 28 ? saved : boot));
+        }
+      }
+    });
+    if (::testing::Test::HasFatalFailure()) return;
+    total_invals += t.block.cpu.stats().block_invalidations;
+    mem_native += t.super.cpu.sbc_stats().mem_native;
+    mem_fallbacks += t.super.cpu.sbc_stats().mem_fallbacks;
+  }
+  if (trials < 30) return;
+  EXPECT_GT(ring3_trials, 0u);
+  EXPECT_LT(ring3_trials, u64(trials));
+  EXPECT_GT(mem_native, 0u) << "no load or store ran natively";
+  EXPECT_GT(mem_fallbacks, 0u) << "no load or store fell back";
+  EXPECT_GT(total_invals, 0u) << "no store retired a decoded block";
 }
 
 TEST(CpuDifferential, SelfModifyingCodePatchesTakeEffectBothPaths) {
@@ -658,6 +897,186 @@ TEST(CpuDifferential, SuperblockSmcGuestStoreSeversChainAndRetranslates) {
   EXPECT_GT(sbc.chains, 0u) << "hot loop never chained to itself";
   EXPECT_GE(sbc.invalidations, 1u) << "stale superblock was not dropped";
   EXPECT_GE(sbc.unchains, 1u) << "the self-chain edge was never severed";
+}
+
+TEST(CpuDifferential, DataStoreOnCodePageKeepsDecodedBlocks) {
+  // A hot loop keeps its counter on its own code page, 128 bytes past its
+  // last instruction, the way small RTOS images keep driver variables next
+  // to their code. Only writes that overlap decoded bytes retire a page, so
+  // once warm the loop never rebuilds a block or retranslates a superblock
+  // — and all three tiers stay bit-identical.
+  auto build = [](CpuHarness& h) {
+    h.load([](Assembler& a) {
+      a.movi(cpu::kR0, u32{0});
+      a.movi(cpu::kR2, l("counter"));
+      a.label("loop");
+      a.addi(cpu::kR0, cpu::kR0, u32{1});
+      a.st32(cpu::kR2, 0, cpu::kR0);
+      a.ld32(cpu::kR1, cpu::kR2, 0);
+      a.cmpi(cpu::kR0, u32{50000});
+      a.jnz(l("loop"));
+      a.hlt();
+      const u32 code_end = a.here();
+      while (a.here() < code_end + 128) a.data32(0);
+      a.label("counter");
+      a.data32(0);
+    });
+  };
+
+  std::array<CpuHarness, 3> rigs;  // superblock, block cache, interpreter
+  for (auto& r : rigs) build(r);
+  rigs[1].cpu.set_superblocks_enabled(false);
+  rigs[2].cpu.set_block_cache_enabled(false);
+  const u32 counter = rigs[0].prog.symbol("counter").value();
+  ASSERT_EQ(counter >> cpu::kPageBits, 0x1000u >> cpu::kPageBits);
+
+  // Warm up for 1000 iterations, stopping at the loop head (two prologue
+  // instructions, five per iteration).
+  for (auto& r : rigs) {
+    r.cpu.set_instr_stop(2 + 5 * 1000);
+    ASSERT_EQ(r.cpu.run(10'000'000), cpu::RunExit::kInstrLimit);
+    ASSERT_EQ(r.cpu.state().pc, r.prog.symbol("loop").value());
+    r.cpu.set_instr_stop(~u64{0});
+  }
+  const u64 builds[2] = {rigs[0].cpu.stats().block_builds,
+                         rigs[1].cpu.stats().block_builds};
+  const u64 translations = rigs[0].cpu.sbc_stats().translations;
+  ASSERT_GT(translations, 0u) << "the loop never got hot";
+  ASSERT_GT(rigs[0].cpu.sbc_stats().mem_native, 0u);
+
+  // The other 49 000 iterations decode nothing new but the closing hlt.
+  for (auto& r : rigs) {
+    ASSERT_EQ(r.cpu.run(10'000'000), cpu::RunExit::kHalted);
+  }
+  EXPECT_EQ(rigs[0].mem.read32(counter), 50000u);
+  EXPECT_EQ(rigs[0].cpu.stats().block_builds, builds[0] + 1);
+  EXPECT_EQ(rigs[1].cpu.stats().block_builds, builds[1] + 1);
+  EXPECT_EQ(rigs[0].cpu.sbc_stats().translations, translations);
+  for (unsigned i = 0; i < 2; ++i) {
+    EXPECT_EQ(rigs[i].cpu.stats().block_invalidations, 0u) << "tier " << i;
+  }
+  for (unsigned i = 0; i < 2; ++i) {
+    const auto& fast = rigs[i].cpu;
+    const auto& ref = rigs[2].cpu;
+    EXPECT_EQ(fast.state().regs, ref.state().regs) << "tier " << i;
+    EXPECT_EQ(fast.state().pc, ref.state().pc) << "tier " << i;
+    EXPECT_EQ(fast.state().psw, ref.state().psw) << "tier " << i;
+    EXPECT_EQ(fast.cycles(), ref.cycles()) << "tier " << i;
+    EXPECT_EQ(fast.stats().instructions, ref.stats().instructions);
+    EXPECT_EQ(fast.stats().mem_accesses, ref.stats().mem_accesses);
+    EXPECT_EQ(dump_mem(rigs[i].mem), dump_mem(rigs[2].mem)) << "tier " << i;
+  }
+}
+
+TEST(CpuDifferential, StoreIntoItsOwnHotBlockTakesEffectAtOnce) {
+  // A hot, pure loop block of 24 instructions spans three 64-byte chunks.
+  // In its second pass its own first store rewrites a later instruction of
+  // the same block, in the middle chunk (where no other block starts), from
+  // `nop` to `addi r2, r2, 1`. The rewritten instruction must run in that
+  // very iteration: the store retires the page although it lands past the
+  // block's first chunk, and the running superblock resyncs before its next
+  // instruction. Every tier counts 100 increments.
+  Instr patch;
+  patch.op = Opcode::kAddI;
+  patch.rd = 2;
+  patch.rs1 = 2;
+  patch.imm = 1;
+  const auto enc = patch.encode();
+  const u32 lo = u32(enc[0]) | (u32(enc[1]) << 8) | (u32(enc[2]) << 16) |
+                 (u32(enc[3]) << 24);
+  const u32 hi = u32(enc[4]) | (u32(enc[5]) << 8) | (u32(enc[6]) << 16) |
+                 (u32(enc[7]) << 24);
+  auto build = [&](CpuHarness& h) {
+    h.load([&](Assembler& a) {
+      a.movi(cpu::kR0, u32{0});  // iteration
+      a.movi(cpu::kR2, u32{0});  // executions of the rewritten slot
+      a.movi(cpu::kR5, u32{0});  // pass
+      a.movi(cpu::kR3, l("data"));
+      a.movi(cpu::kR1, u32{lo});
+      a.movi(cpu::kR4, u32{hi});
+      a.jmp(l("loop"));
+      while (a.here() % 64 != 0) a.nop();
+      a.label("loop");
+      a.st32(cpu::kR3, 0, cpu::kR1);
+      a.st32(cpu::kR3, 4, cpu::kR4);
+      a.addi(cpu::kR0, cpu::kR0, u32{1});
+      for (int i = 0; i < 6; ++i) a.nop();
+      a.label("patch");  // 72 bytes in: the block's second chunk
+      a.nop();
+      for (int i = 0; i < 12; ++i) a.nop();
+      a.cmpi(cpu::kR0, u32{100});
+      a.jnz(l("loop"));
+      a.cmpi(cpu::kR5, u32{1});
+      a.jz(l("done"));
+      a.movi(cpu::kR3, l("patch"));
+      a.movi(cpu::kR0, u32{0});
+      a.addi(cpu::kR5, cpu::kR5, u32{1});
+      a.jmp(l("loop"));
+      a.label("done");
+      a.hlt();
+      const u32 code_end = a.here();
+      while (a.here() < code_end + 128) a.data32(0);
+      a.label("data");
+      a.data32(0);
+      a.data32(0);
+    });
+  };
+
+  std::array<CpuHarness, 3> rigs;  // superblock, block cache, interpreter
+  for (auto& r : rigs) build(r);
+  rigs[1].cpu.set_superblocks_enabled(false);
+  rigs[2].cpu.set_block_cache_enabled(false);
+  for (auto& r : rigs) {
+    ASSERT_EQ(r.cpu.run(10'000'000), cpu::RunExit::kHalted);
+    EXPECT_EQ(r.reg(cpu::kR2), 100u);
+  }
+  EXPECT_GT(rigs[0].cpu.sbc_stats().translations, 0u);
+  for (unsigned i = 0; i < 2; ++i) {
+    EXPECT_EQ(rigs[i].cpu.state().regs, rigs[2].cpu.state().regs);
+    EXPECT_EQ(rigs[i].cpu.cycles(), rigs[2].cpu.cycles()) << "tier " << i;
+    EXPECT_EQ(rigs[i].cpu.stats().instructions,
+              rigs[2].cpu.stats().instructions);
+    EXPECT_EQ(rigs[i].cpu.stats().mem_accesses,
+              rigs[2].cpu.stats().mem_accesses);
+  }
+}
+
+TEST(CpuDifferential, FallThroughGenericTailRetiresOnce) {
+  // A pure block cut by the 32-instruction decode cap right after a `push`:
+  // its tail is a generic op that falls through to the next block. Fast
+  // mode batches the body's retires at entry; the tail retires once, in the
+  // generic handler, so every tier counts the same instructions.
+  auto build = [](CpuHarness& h) {
+    h.load([](Assembler& a) {
+      a.movi(cpu::kR0, u32{0});
+      a.movi(cpu::kSp, u32{0x8000});
+      a.jmp(l("loop"));
+      a.label("loop");
+      a.addi(cpu::kR0, cpu::kR0, u32{1});
+      for (u32 i = 1; i + 1 < cpu::kMaxBlockInstrs; ++i) a.nop();
+      a.push(cpu::kR0);  // the block's last instruction
+      a.pop(cpu::kR1);
+      a.cmpi(cpu::kR0, u32{1000});
+      a.jnz(l("loop"));
+      a.hlt();
+    });
+  };
+
+  std::array<CpuHarness, 3> rigs;  // superblock, block cache, interpreter
+  for (auto& r : rigs) build(r);
+  rigs[1].cpu.set_superblocks_enabled(false);
+  rigs[2].cpu.set_block_cache_enabled(false);
+  for (auto& r : rigs) {
+    ASSERT_EQ(r.cpu.run(10'000'000), cpu::RunExit::kHalted);
+  }
+  EXPECT_GT(rigs[0].cpu.sbc_stats().translations, 0u);
+  for (unsigned i = 0; i < 2; ++i) {
+    EXPECT_EQ(rigs[i].cpu.stats().instructions,
+              rigs[2].cpu.stats().instructions)
+        << "tier " << i;
+    EXPECT_EQ(rigs[i].cpu.cycles(), rigs[2].cpu.cycles()) << "tier " << i;
+    EXPECT_EQ(rigs[i].cpu.state().regs, rigs[2].cpu.state().regs);
+  }
 }
 
 TEST(CpuDifferential, PageBoundaryBlockChainsAcrossTheGuard) {
