@@ -42,12 +42,11 @@ struct CheckpointRun {
   double mean_kb = 0.0;
 };
 
-/// tier 0 = slow interpreter, 1 = block cache, 2 = + superblocks (default).
+/// tier 0 = reference interpreter, 1 = superblocks (default).
 CheckpointRun run_checkpointed(u64 interval, int tier) {
   Platform p(PlatformKind::kLvmm);
   p.prepare(guest::RunConfig::for_rate_mbps(40.0));
-  p.machine().cpu().set_block_cache_enabled(tier >= 1);
-  p.machine().cpu().set_superblocks_enabled(tier >= 2);
+  p.machine().cpu().set_superblocks_enabled(tier >= 1);
   std::optional<vmm::TimeTravel> tt;
   if (interval != 0) {
     vmm::TimeTravel::Config cfg;
@@ -75,9 +74,8 @@ void checkpoint_overhead_sweep() {
   // simulated-cycle costs, so retained-throughput percentages should be
   // (and are asserted by the lockstep tests to be) tier-invariant — any
   // divergence here means a tier broke the bit-identical cycle contract.
-  static const char* const kTierNames[] = {"interp", "block-cache",
-                                           "superblock"};
-  for (int tier = 0; tier <= 2; ++tier) {
+  static const char* const kTierNames[] = {"interp", "superblock"};
+  for (int tier = 0; tier <= 1; ++tier) {
     std::printf("\n=== Checkpoint overhead vs interval "
                 "(0.1 s simulated, tier: %s) ===\n",
                 kTierNames[tier]);

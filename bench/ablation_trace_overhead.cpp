@@ -13,7 +13,7 @@
 //
 // `--json` emits a google-benchmark-shaped document whose nested "metrics"
 // object is the registry snapshot of the tracing leg, for check_bench.py
-// floors on e.g. vmm.vtlb.hit_rate / cpu.block.hit_rate.
+// floors on e.g. vmm.vtlb.hit_rate / cpu.sbc.hit_rate.
 #include <cstdio>
 #include <cstring>
 

@@ -4,12 +4,11 @@
 // how much wall-clock the Fig. 3.1 sweep costs and sanity-check the CPI
 // assumptions documented in cpu/cost_model.h.
 //
-// Each benchmark runs once per execution tier: Arg(0) is the pre-cache
-// interpreter (block cache killed), Arg(1) the predecoded block cache with
-// superblocks killed, Arg(2) the full threaded-superblock tier (the
-// default configuration). Compare guest_instr_per_s across the /0, /1 and
-// /2 rows to read the per-tier speedup; BM_TierSpeedup reports the
-// superblock-vs-block-cache ratios of the ALU and memory-copy loops
+// Each benchmark runs once per execution path: Arg(0) is the reference
+// interpreter (superblocks killed), Arg(1) threaded superblocks (the
+// default configuration). Compare guest_instr_per_s across the /0 and /1
+// rows to read the speedup; BM_TierSpeedup reports the
+// superblock-vs-interpreter ratios of the ALU and memory-copy loops
 // directly as counters so CI can gate them (tools/bench_baseline.json).
 #include <benchmark/benchmark.h>
 
@@ -35,11 +34,8 @@ class NullBus final : public cpu::IoBus {
 
 struct Rig {
   Rig() : mem(4 * 1024 * 1024), cpu_(mem, bus, nullptr) {}
-  /// tier 0 = slow interpreter, 1 = block cache, 2 = + superblocks.
-  void set_tier(int tier) {
-    cpu_.set_block_cache_enabled(tier >= 1);
-    cpu_.set_superblocks_enabled(tier >= 2);
-  }
+  /// tier 0 = reference interpreter, 1 = superblocks.
+  void set_tier(int tier) { cpu_.set_superblocks_enabled(tier >= 1); }
   cpu::PhysMem mem;
   NullBus bus;
   cpu::Cpu cpu_;
@@ -85,7 +81,7 @@ void BM_AluLoop(benchmark::State& state) {
   }
   report_tier_counters(state, rig);
 }
-BENCHMARK(BM_AluLoop)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_AluLoop)->Arg(0)->Arg(1);
 
 void emit_memcopy_loop(Assembler& a) {
   a.movi(kR0, u32{0x10000});  // src
@@ -111,7 +107,7 @@ void BM_MemoryCopyLoop(benchmark::State& state) {
   }
   report_tier_counters(state, rig);
 }
-BENCHMARK(BM_MemoryCopyLoop)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_MemoryCopyLoop)->Arg(0)->Arg(1);
 
 void BM_CallRetLoop(benchmark::State& state) {
   Rig rig;
@@ -130,41 +126,42 @@ void BM_CallRetLoop(benchmark::State& state) {
   }
   report_tier_counters(state, rig);
 }
-BENCHMARK(BM_CallRetLoop)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_CallRetLoop)->Arg(0)->Arg(1);
 
-// Direct tier-2-over-tier-1 ratios on the ALU and memory-copy loops,
-// exported as counters so tools/check_bench.py can gate them (a cross-row
-// comparison is outside that gate's model). All four rigs run identical
-// simulated-cycle slices, interleaved in one process, so each host-time
-// ratio is a guest-throughput ratio robust to absolute host speed.
+// Direct superblock-over-interpreter ratios on the ALU and memory-copy
+// loops, exported as counters so tools/check_bench.py can gate them (a
+// cross-row comparison is outside that gate's model). All four rigs run
+// identical simulated-cycle slices, interleaved in one process, so each
+// host-time ratio is a guest-throughput ratio robust to absolute host
+// speed.
 // sb_chain_rate is a deterministic simulated counter: the ALU loop block
 // should chain to itself on essentially every dispatch.
 void BM_TierSpeedup(benchmark::State& state) {
   struct Pair {
     explicit Pair(void (*emit)(Assembler&)) {
-      block.set_tier(1);
-      load(block, emit);
-      sb.set_tier(2);
+      interp.set_tier(0);
+      load(interp, emit);
+      sb.set_tier(1);
       load(sb, emit);
-      // Warm both tiers past decode and superblock promotion.
-      block.cpu_.run(100000);
+      // Warm both rigs past decode and translation.
+      interp.cpu_.run(100000);
       sb.cpu_.run(100000);
     }
-    /// One slice on each tier, accumulating host seconds.
+    /// One slice on each path, accumulating host seconds.
     void step() {
       using clock = std::chrono::steady_clock;
       const auto t0 = clock::now();
-      block.cpu_.run(1000000);
+      interp.cpu_.run(1000000);
       const auto t1 = clock::now();
       sb.cpu_.run(1000000);
       const auto t2 = clock::now();
-      t_block += std::chrono::duration<double>(t1 - t0).count();
+      t_interp += std::chrono::duration<double>(t1 - t0).count();
       t_sb += std::chrono::duration<double>(t2 - t1).count();
     }
-    double speedup() const { return t_sb > 0.0 ? t_block / t_sb : 0.0; }
-    Rig block;
+    double speedup() const { return t_sb > 0.0 ? t_interp / t_sb : 0.0; }
+    Rig interp;
     Rig sb;
-    double t_block = 0.0;
+    double t_interp = 0.0;
     double t_sb = 0.0;
   };
   Pair alu(emit_alu_loop);

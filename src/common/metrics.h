@@ -9,8 +9,8 @@
 //    attaches a registry pays nothing at all.
 //  - Replay exactness. Counter slots live inside component state that is
 //    already snapshot-save/restored, so a time-travel replay reproduces
-//    them bit-identically. Slots that are *host-side* (e.g. block-cache
-//    hit counts, which are derived state dropped on restore) register
+//    them bit-identically. Slots that are *host-side* (e.g. superblock
+//    cache hit counts, which are derived state dropped on restore) register
 //    with replay_exact=false so comparisons can filter them out.
 //  - Deterministic export. snapshot() and to_json() emit metrics in
 //    registration order, which is itself deterministic wiring order.

@@ -67,7 +67,7 @@ RunExit Cpu::run(Cycles budget) {
       if (halted_) return RunExit::kHalted;  // pending but masked: sleep on
     }
     if (halted_) return RunExit::kHalted;
-    if (block_cache_enabled_) {
+    if (superblocks_enabled_) {
       run_cached(target);
     } else {
       step();
@@ -218,11 +218,11 @@ void Cpu::raise_watch_hit(u32 resume_pc) {
 }
 
 void Cpu::invalidate_code_page(PAddr pa) {
-  // Arming must split any block spanning pa (blocks are built to end before
-  // an armed address, which is then only ever reached at a block head and
-  // diverted to step_at); disarming lets the truncated blocks grow back.
+  // Arming must split any block spanning pa (blocks are decoded to end
+  // before an armed address, which is then only ever reached at a block head
+  // and diverted to step_at); disarming lets the truncated blocks grow back.
   // Retiring the page's decoded code is the same version bump a write to
-  // it makes, so both tiers drop its blocks on their next lookup.
+  // it makes, so its superblocks drop on their next lookup.
   mem_.retire_code(pa & ~PAddr{kPageMask}, kPageSize);
 }
 
@@ -278,289 +278,49 @@ void Cpu::run_cached(Cycles target) {
     }
     have_pa = false;
     const u64 version = mem_.page_version(pa >> kPageBits);
-    SuperBlock* sb =
-        superblocks_enabled_ ? sbcache_.lookup(pa, version, sbc_stats_)
-                             : nullptr;
-    CachedBlock* blk = nullptr;
+    SuperBlock* sb = sbcache_.lookup(pa, version, sbc_stats_);
     if (!sb) {
-      blk = bcache_.lookup(pa, version, stats_.block_hits);
-      if (!blk) {
-        blk = bcache_.build(pa, mem_, breakpoints_, stats_.block_builds,
-                            stats_.block_invalidations);
-        if (!blk) {
-          // Undecodable head (invalid opcode / truncated fetch) or an armed
-          // breakpoint: the slow tail raises the right event.
-          step_at(pa, pc0);
-          return;
-        }
+      sb = sbcache_.translate(pa, mem_, breakpoints_, costs_, sb_labels_,
+                              sbc_stats_);
+      if (!sb) {
+        // Undecodable head (invalid opcode / truncated fetch) or an armed
+        // breakpoint: the reference tail raises the right event.
+        step_at(pa, pc0);
+        return;
       }
-      // Hotness promotion into the superblock tier. The counter saturates
-      // at the threshold so an evicted-and-rebuilt superblock re-promotes
-      // on the next dispatch instead of waiting out a full warmup.
-      if (superblocks_enabled_) {
-        if (blk->hot >= SuperblockCache::kHotThreshold) {
-          sb = sbcache_.translate(*blk, mem_, costs_, sb_labels_, sbc_stats_);
-        } else {
-          ++blk->hot;
-        }
-      }
+      // Block heads 8 KiB apart share a slot. If translate just recycled
+      // the requester's slot, the request belonged to the evicted block.
+      if (sb == chain_from) chain_from = nullptr;
     }
     // Resolve the executor's pending chain request (tb_add_jump): the block
-    // now dispatched is exactly the one the requesting tail jumps to, so if
-    // both ends are superblocks, wire the direct edge. A request never
-    // outlives one dispatcher iteration — installing it against any later
-    // block would chain the wrong pair.
+    // now dispatched is exactly the one the requesting tail jumps to, so
+    // wire the direct edge. A request never outlives one dispatcher
+    // iteration — installing it against any later block would chain the
+    // wrong pair.
     if (chain_from) {
-      if (sb && chain_from->valid && !chain_from->next[chain_slot]) {
+      if (!chain_from->next[chain_slot]) {
         chain_from->next[chain_slot] = sb;
         sb->incoming.push_back({chain_from, chain_slot});
       }
       chain_from = nullptr;
     }
-    if (sb) {
-      ++sbc_stats_.hits;
-      const SbRun r = exec_superblock(sb, stop);
-      if (r.kind == SbRun::kDone) return;
-      chain_from = r.from;
-      chain_slot = r.slot;
-      if (r.kind == SbRun::kDispatchAt) {
-        // The executor's chain guard already performed (and accounted) the
-        // fetch translation of the new pc; re-translating here would charge
-        // a second TLB hit the reference paths never see.
-        pa = r.pa;
-        have_pa = true;
-      }
-      continue;
+    ++sbc_stats_.hits;
+    const SbRun r = exec_superblock(sb, stop);
+    if (r.kind == SbRun::kDone) return;
+    chain_from = r.from;
+    chain_slot = r.slot;
+    if (r.kind == SbRun::kDispatchAt) {
+      // The executor's chain guard already performed (and accounted) the
+      // fetch translation of the new pc; re-translating here would charge
+      // a second TLB hit the reference path never sees.
+      pa = r.pa;
+      have_pa = true;
     }
-    // Chain into the next block only when the tail op provably left every
-    // run()-loop condition unchanged (see is_pure_branch) and budget
-    // remains; otherwise return so run() re-checks interrupts/halt/stop.
-    if (!exec_block(*blk, pa, stop)) return;
-    if (cycles_ >= stop) return;
-    if (stats_.instructions >= instr_stop_) return;
   }
 }
 
-// flatten: inline the whole execute()/mem-helper call tree into the block
-// dispatch loop — this is the interpreter's hottest code by far.
-__attribute__((flatten)) bool Cpu::exec_block(const CachedBlock& blk,
-                                              PAddr pa0, Cycles stop) {
-  // Charge and execute each cached instruction exactly as the slow path
-  // would. The per-instruction translate of the slow path is replaced by
-  // the block-entry translate (already charged by the caller) plus a TLB
-  // recheck between instructions that performs identical accounting for
-  // the hit case and falls back to the full translate otherwise. Interrupt,
-  // stop, halt and trap-flag state cannot change between two mid-block
-  // instructions (see is_block_terminator); budget and run-limit, which
-  // can, are checked at every boundary.
-  const u8 cpl = st_.cpl();
-  const bool paged = st_.paging_enabled();
-  // Mid-block instructions cannot call out to devices or hooks, so the
-  // code page's version word never relocates and can be polled directly.
-  const u64* const version_now = mem_.page_version_ptr(pa0 >> kPageBits);
-  const Cycles fetch_cost = costs_.mem + costs_.base;
-  u32 pc = st_.pc;
-  PAddr pa = pa0;
-  // Flag helper identical to CpuState::set_flags (bit-for-bit psw result).
-  const auto set_zncv = [this](bool z, bool n, bool c, bool v) {
-    st_.psw = (st_.psw & ~Psw::kFlagsMask) | (z ? Psw::kZ : 0u) |
-              (n ? Psw::kN : 0u) | (c ? Psw::kC : 0u) | (v ? Psw::kV : 0u);
-  };
-  for (u16 i = 0;;) {
-    cycles_ += fetch_cost;
-    ++stats_.mem_accesses;
-    const Instr& in = blk.instrs[i];
-    // Specialized handlers for the frequent simple ops: same architectural
-    // semantics as Cpu::execute (flag algebra from set_flags_addsub /
-    // set_flags_logic, shift masking, branch-taken charge), minus the
-    // generality — none of these can fault, perform memory/device access,
-    // or need the privilege check. Everything else (loads/stores, stack
-    // ops, mul/div, system ops) drops to the generic execute() below.
-    // tests/test_cpu_diff.cpp fuzzes both paths for bit-identical results.
-    bool handled = true;
-    {
-      const u32 a = st_.regs[in.rs1 & (kNumGprs - 1)];
-      const u32 b = st_.regs[in.rs2 & (kNumGprs - 1)];
-      u32& rd = st_.regs[in.rd & (kNumGprs - 1)];
-      u32 next_pc = pc + kInstrBytes;
-      switch (in.op) {
-        case Opcode::kNop:
-          break;
-        case Opcode::kMovI:
-          rd = in.imm;
-          break;
-        case Opcode::kMov:
-          rd = a;
-          break;
-        case Opcode::kAdd: {
-          const u32 r = a + b;
-          set_zncv(r == 0, r >> 31, r < a, (~(a ^ b) & (a ^ r)) >> 31);
-          rd = r;
-          break;
-        }
-        case Opcode::kSub: {
-          const u32 r = a - b;
-          set_zncv(r == 0, r >> 31, a < b, ((a ^ b) & (a ^ r)) >> 31);
-          rd = r;
-          break;
-        }
-        case Opcode::kAddI: {
-          const u32 r = a + in.imm;
-          set_zncv(r == 0, r >> 31, r < a, (~(a ^ in.imm) & (a ^ r)) >> 31);
-          rd = r;
-          break;
-        }
-        case Opcode::kSubI: {
-          const u32 r = a - in.imm;
-          set_zncv(r == 0, r >> 31, a < in.imm,
-                   ((a ^ in.imm) & (a ^ r)) >> 31);
-          rd = r;
-          break;
-        }
-        case Opcode::kAnd: rd = a & b; set_zncv(rd == 0, rd >> 31, 0, 0); break;
-        case Opcode::kOr: rd = a | b; set_zncv(rd == 0, rd >> 31, 0, 0); break;
-        case Opcode::kXor: rd = a ^ b; set_zncv(rd == 0, rd >> 31, 0, 0); break;
-        case Opcode::kShl:
-          rd = a << (b & 31);
-          set_zncv(rd == 0, rd >> 31, 0, 0);
-          break;
-        case Opcode::kShr:
-          rd = a >> (b & 31);
-          set_zncv(rd == 0, rd >> 31, 0, 0);
-          break;
-        case Opcode::kSar:
-          rd = static_cast<u32>(static_cast<i32>(a) >> (b & 31));
-          set_zncv(rd == 0, rd >> 31, 0, 0);
-          break;
-        case Opcode::kAndI:
-          rd = a & in.imm;
-          set_zncv(rd == 0, rd >> 31, 0, 0);
-          break;
-        case Opcode::kOrI:
-          rd = a | in.imm;
-          set_zncv(rd == 0, rd >> 31, 0, 0);
-          break;
-        case Opcode::kXorI:
-          rd = a ^ in.imm;
-          set_zncv(rd == 0, rd >> 31, 0, 0);
-          break;
-        case Opcode::kShlI:
-          rd = a << (in.imm & 31);
-          set_zncv(rd == 0, rd >> 31, 0, 0);
-          break;
-        case Opcode::kShrI:
-          rd = a >> (in.imm & 31);
-          set_zncv(rd == 0, rd >> 31, 0, 0);
-          break;
-        case Opcode::kSarI:
-          rd = static_cast<u32>(static_cast<i32>(a) >> (in.imm & 31));
-          set_zncv(rd == 0, rd >> 31, 0, 0);
-          break;
-        case Opcode::kCmp: {
-          const u32 r = a - b;
-          set_zncv(r == 0, r >> 31, a < b, ((a ^ b) & (a ^ r)) >> 31);
-          break;
-        }
-        case Opcode::kCmpI: {
-          const u32 r = a - in.imm;
-          set_zncv(r == 0, r >> 31, a < in.imm,
-                   ((a ^ in.imm) & (a ^ r)) >> 31);
-          break;
-        }
-        case Opcode::kJmp:
-          next_pc = in.imm;
-          cycles_ += costs_.branch_taken;
-          break;
-        case Opcode::kJmpR:
-          next_pc = a;
-          cycles_ += costs_.branch_taken;
-          break;
-        case Opcode::kJz:
-        case Opcode::kJnz:
-        case Opcode::kJb:
-        case Opcode::kJae:
-        case Opcode::kJbe:
-        case Opcode::kJa:
-        case Opcode::kJl:
-        case Opcode::kJge:
-        case Opcode::kJle:
-        case Opcode::kJg: {
-          const u32 psw = st_.psw;
-          const bool z = psw & Psw::kZ, n = psw & Psw::kN, c = psw & Psw::kC,
-                     v = psw & Psw::kV;
-          bool taken = false;
-          switch (in.op) {
-            case Opcode::kJz: taken = z; break;
-            case Opcode::kJnz: taken = !z; break;
-            case Opcode::kJb: taken = c; break;
-            case Opcode::kJae: taken = !c; break;
-            case Opcode::kJbe: taken = c || z; break;
-            case Opcode::kJa: taken = !c && !z; break;
-            case Opcode::kJl: taken = n != v; break;
-            case Opcode::kJge: taken = n == v; break;
-            case Opcode::kJle: taken = z || (n != v); break;
-            case Opcode::kJg: taken = !z && (n == v); break;
-            default: break;
-          }
-          if (taken) {
-            next_pc = in.imm;
-            cycles_ += costs_.branch_taken;
-          }
-          break;
-        }
-        default:
-          handled = false;
-          break;
-      }
-      if (handled) {
-        st_.pc = next_pc;
-        ++stats_.instructions;
-      }
-    }
-    if (!handled) {
-      const ExecResult er = execute(in);
-      ++stats_.instructions;
-      if (er.faulted) {
-        const u32 resume =
-            er.fault.kind == EventKind::kSoftInt ? pc + kInstrBytes : pc;
-        raise(er.fault, resume);
-        return false;
-      }
-      if (watch_pending_) {
-        raise_watch_hit(st_.pc);
-        return false;
-      }
-    }
-    if (++i >= blk.count) {
-      // Block ended: at its terminator, or straight-line at the decode cap
-      // or page edge (then the tail op is a non-terminator, always
-      // chainable).
-      const Opcode tail = blk.instrs[blk.count - 1].op;
-      return !is_block_terminator(tail) || is_pure_branch(tail);
-    }
-    if (cycles_ >= stop) return false;
-    if (stats_.instructions >= instr_stop_) return false;
-    pc += kInstrBytes;
-    pa += kInstrBytes;
-    if (*version_now != blk.version) {
-      // Self-modified mid-block: resync below. The stale block itself is
-      // rebuilt (and counted) at the next lookup.
-      break;
-    }
-    if (paged) {
-      PAddr now_pa = 0;
-      if (!mmu_.fetch_recheck(pc, cpl, now_pa) || now_pa != pa) break;
-    }
-  }
-  // Revalidation failed between instructions: execute the next instruction
-  // through the slow path (which performs the full translate with the same
-  // charges the reference interpreter would) and let run() re-dispatch.
-  step();
-  return false;
-}
-
-// Tier-2 executor: threaded dispatch over translated superblocks with direct
-// cross-block chaining. Uses the GNU labels-as-values extension where
+// Superblock executor: threaded dispatch over translated superblocks with
+// direct cross-block chaining. Uses the GNU labels-as-values extension where
 // available (gcc and clang, i.e. every toolchain in CI); the portable
 // fallback dispatches the same handler bodies through a switch.
 #if defined(__GNUC__)
@@ -607,15 +367,15 @@ __attribute__((flatten)) bool Cpu::exec_block(const CachedBlock& blk,
     SB_DISPATCH_FAST();                         \
   } while (0)
 
-// Identical bit algebra to CpuState::set_flags / exec_block's set_zncv,
-// applied to the executor's psw local.
+// Identical bit algebra to CpuState::set_flags, applied to the executor's
+// psw local.
 #define SB_SET_ZNCV(z, n, c, v)                                             \
   psw = (psw & ~Psw::kFlagsMask) | ((z) ? Psw::kZ : 0u) |                   \
         ((n) ? Psw::kN : 0u) | ((c) ? Psw::kC : 0u) | ((v) ? Psw::kV : 0u)
 
 // flatten: inline execute() and the mem helpers into the generic handler,
-// as exec_block does for its dispatch loop. no-crossjumping/no-gcse keep
-// GCC from re-merging the per-handler dispatch sites SB_NEXT replicates
+// the executor's slowest common path. no-crossjumping/no-gcse keep GCC
+// from re-merging the per-handler dispatch sites SB_NEXT replicates
 // (the standard flags for computed-goto interpreter loops).
 #if defined(__GNUC__) && !defined(__clang__)
 __attribute__((optimize("no-crossjumping", "no-gcse")))
@@ -663,8 +423,8 @@ __attribute__((flatten)) Cpu::SbRun Cpu::exec_superblock(SuperBlock* sb,
 
   // Executor-local mirrors of the hot members. They live in registers
   // across chained blocks and are flushed at every exit and around the
-  // generic execute() path — the core of the tier's speedup over
-  // exec_block, which updates the members per instruction.
+  // generic execute() path — the core of the executor's speedup over the
+  // reference path, which updates the members per instruction.
   Cycles cyc = cycles_;
   u64 icount = stats_.instructions;
   u64 memacc = stats_.mem_accesses;
@@ -730,7 +490,7 @@ __attribute__((flatten)) Cpu::SbRun Cpu::exec_superblock(SuperBlock* sb,
   };
 
 enter_block:
-  // Entry accounting identical to exec_block's first iteration; the entry
+  // Entry accounting identical to the reference fetch in step_at; the entry
   // fetch translation and page-version check are the caller's (dispatcher
   // or chain guard) and were already performed.
   ip = sb->instrs.data();
@@ -1256,8 +1016,8 @@ dispatch_loop:
   SB_CASE(Generic) {
     // Anything without a native handler — stack ops, div, system/privileged
     // ops, Call/Ret — and every load/store the native handlers hand over.
-    // Runs through the reference execute() with the locals flushed, exactly
-    // as the block tier does.
+    // Runs through the reference execute() with the locals flushed, with
+    // step_at's retire and fault handling.
   generic_op:
     flush();
     Instr in;
@@ -1310,10 +1070,11 @@ mem_fallback:
   goto generic_op;
 
 next_instr:
-  // Slow-mode boundary (SB_NEXT routes here only when !fast). Ordering
-  // mirrors exec_block — tail check, budget/instr-stop, then revalidation —
-  // except that pure blocks replace the poll + recheck with the proven-hit
-  // count (see Mmu::count_proven_fetch_hits).
+  // Slow-mode boundary (SB_NEXT routes here only when !fast): tail check,
+  // then the budget and instruction-stop checks run() makes before each
+  // reference step, then the revalidation standing in for step()'s fetch
+  // translation (hit-identical accounting). Pure blocks replace the poll +
+  // recheck with the proven-hit count (see Mmu::count_proven_fetch_hits).
   ++icount;
   if (++ip == end) goto tail_fallthrough;
   pc += kInstrBytes;
@@ -1446,8 +1207,8 @@ out_done:
 
 out_resync:
   // Mid-block revalidation failed (page written or fetch remapped under an
-  // impure block): same recovery as exec_block — one slow-path step with
-  // reference accounting, then back to run().
+  // impure block): one reference step() with its full fetch translation
+  // and accounting, then back to run().
   flush();
   step();
   out.kind = SbRun::kDone;
@@ -1929,12 +1690,12 @@ void Cpu::restore(SnapshotReader& r) {
   // machine runs exactly like a freshly stopped one.
   stop_requested_ = false;
   run_limit_ = ~Cycles{0};
-  // The block and superblock caches are derived from (possibly rolled-back)
-  // memory contents and page versions; drop both and let them rebuild —
-  // including every superblock chain edge, which may reference pre-rollback
-  // code. All cache states retire bit-identical architectural state, so
-  // this keeps replay exact.
-  invalidate_block_cache();
+  // The superblock cache is derived from (possibly rolled-back) memory
+  // contents and page versions; drop it and let it rebuild — including
+  // every chain edge, which may reference pre-rollback code. All cache
+  // states retire bit-identical architectural state, so this keeps replay
+  // exact.
+  invalidate_superblocks();
 }
 
 bool Cpu::write_virt(VAddr va, std::span<const u8> in, u8 cpl) {

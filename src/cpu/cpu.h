@@ -1,9 +1,9 @@
-// The VX32 interpreter: fetch/decode/execute with a predecoded basic-block
-// fast path (see block_cache.h and DESIGN.md "Interpreter fast path"), trap
-// and interrupt delivery, the trap hook a VMM installs to intercept events,
-// the monitor's debug state (breakpoints, write watchpoints and single step,
-// all kept outside guest state), and the I/O permission bitmap that
-// implements device passthrough.
+// The VX32 CPU: the reference fetch/decode/execute interpreter and the
+// superblock fast path (see superblock.h and DESIGN.md "Execution:
+// reference interpreter and superblocks"), trap and interrupt delivery, the
+// trap hook a VMM installs to intercept events, the monitor's debug state
+// (breakpoints, write watchpoints and single step, all kept outside guest
+// state), and the I/O permission bitmap that implements device passthrough.
 #pragma once
 
 #include <array>
@@ -13,7 +13,6 @@
 #include "common/metrics.h"
 #include "common/snapshot.h"
 #include "common/types.h"
-#include "cpu/block_cache.h"
 #include "cpu/bus.h"
 #include "cpu/cost_model.h"
 #include "cpu/cpu_state.h"
@@ -50,10 +49,9 @@ enum class RunExit : u8 {
   kInstrLimit,     // retired-instruction stop reached (see set_instr_stop)
 };
 
-/// Counters exposed for tests and the benchmark harness. The architectural
-/// counters (everything except block_* and the superblock tier's SbcStats)
-/// are bit-identical across all three execution tiers: slow interpreter,
-/// block cache, and superblocks.
+/// Architectural counters exposed for tests and the benchmark harness:
+/// bit-identical between the reference interpreter and superblocks (the
+/// superblock cache's own telemetry is SbcStats).
 struct CpuStats {
   u64 instructions = 0;
   u64 mem_accesses = 0;
@@ -61,9 +59,6 @@ struct CpuStats {
   u64 exceptions = 0;         // events delivered through the IDT
   u64 interrupts = 0;         // external interrupts taken (either path)
   u64 hook_events = 0;        // events diverted to the trap hook
-  u64 block_hits = 0;          // dispatched from a cached predecoded block
-  u64 block_builds = 0;        // blocks (re)decoded into the cache
-  u64 block_invalidations = 0; // blocks dropped (stale page or explicit)
 };
 
 class Cpu {
@@ -130,33 +125,20 @@ class Cpu {
   void set_instr_stop(u64 count) { instr_stop_ = count; }
   u64 instr_stop() const { return instr_stop_; }
 
-  // --- predecoded block cache (fetch fast path) ---
-  /// Runtime kill switch. Disabled, run() decodes every instruction from
-  /// memory (the pre-cache interpreter); enabled (default), straight-line
-  /// runs dispatch from predecoded blocks. Both paths produce bit-identical
-  /// architectural state, cycles and (non-block_*) stats.
-  void set_block_cache_enabled(bool on) { block_cache_enabled_ = on; }
-  bool block_cache_enabled() const { return block_cache_enabled_; }
-
-  // --- superblock tier (threaded dispatch above the block cache) ---
-  /// Runtime kill switch, layered under the block-cache switch: with the
-  /// block cache disabled this knob is moot (tier 2 promotes from tier 1).
-  /// Enabled (default), hot cached blocks are translated into threaded
-  /// superblocks with direct cross-block chaining (see superblock.h). All
-  /// three tiers produce bit-identical architectural state, cycles and
-  /// (non-telemetry) stats.
+  // --- superblocks (threaded dispatch, see superblock.h) ---
+  /// Runtime kill switch. Enabled (default), every block is translated into
+  /// a threaded superblock the first time the dispatcher reaches it, and
+  /// superblocks chain directly to each other. Disabled, run() decodes and
+  /// executes every instruction through the reference interpreter. Both
+  /// paths produce bit-identical architectural state, cycles and stats.
   void set_superblocks_enabled(bool on) { superblocks_enabled_ = on; }
   bool superblocks_enabled() const { return superblocks_enabled_; }
   const SbcStats& sbc_stats() const { return sbc_stats_; }
 
-  /// Drops both cached tiers, severing every superblock chain
-  /// (tb_phys_invalidate analog). Writes never need this — PhysMem retires
-  /// a page whenever a write overlaps its decoded code; restore uses it to
-  /// shed derived state.
-  void invalidate_block_cache() {
-    bcache_.invalidate_all(stats_.block_invalidations);
-    sbcache_.invalidate_all(sbc_stats_);
-  }
+  /// Drops every superblock, severing every chain (tb_phys_invalidate
+  /// analog). Writes never need this — PhysMem retires a page whenever a
+  /// write overlaps its decoded code; restore uses it to shed derived state.
+  void invalidate_superblocks() { sbcache_.invalidate_all(sbc_stats_); }
 
   // --- monitor debug state ---
   /// Debugger state a monitor forces on the guest without touching guest
@@ -167,13 +149,13 @@ class Cpu {
   /// range retires, then raises #DB (Fault::watch); a step request raises
   /// #DB once the next instruction completes. All arrive at the trap hook
   /// as EventKind::kMonitor, so they need one installed. This is host state
-  /// like the kill switches: snapshots never carry it and restore leaves it
-  /// alone. With nothing armed or requested every tier runs exactly as
+  /// like the kill switch: snapshots never carry it and restore leaves it
+  /// alone. With nothing armed or requested both paths run exactly as
   /// without a debugger, and a watch that never hits costs nothing either.
   void arm_breakpoint(PAddr pa);
   void disarm_breakpoint(PAddr pa);
   /// Watches guest-virtual [va, va+len) for writes by guest store
-  /// instructions (st8/16/32, push, call, callr), in every tier and with or
+  /// instructions (st8/16/32, push, call, callr), on both paths and with or
   /// without guest paging. Frames the CPU pushes to deliver an event are
   /// not guest stores. False for an empty range or one that wraps past
   /// 2^32.
@@ -202,10 +184,9 @@ class Cpu {
   PcProfiler& profiler() { return profiler_; }
   const PcProfiler& profiler() const { return profiler_; }
 
-  /// Registers cpu.core.*, cpu.block.*, cpu.sbc.* and cpu.tlb.* counters.
-  /// The block and superblock caches are derived state rebuilt after a
-  /// snapshot restore, so their counters register as not replay-exact;
-  /// everything else is.
+  /// Registers cpu.core.*, cpu.sbc.* and cpu.tlb.* counters. The superblock
+  /// cache is derived state rebuilt after a snapshot restore, so its
+  /// counters register as not replay-exact; everything else is.
   void register_metrics(MetricsRegistry& reg) {
     reg.add_counter("cpu.core.instructions", &stats_.instructions);
     reg.add_counter("cpu.core.mem_accesses", &stats_.mem_accesses);
@@ -213,19 +194,6 @@ class Cpu {
     reg.add_counter("cpu.core.exceptions", &stats_.exceptions);
     reg.add_counter("cpu.core.interrupts", &stats_.interrupts);
     reg.add_counter("cpu.core.hook_events", &stats_.hook_events);
-    reg.add_counter("cpu.block.hits", &stats_.block_hits,
-                    /*replay_exact=*/false);
-    reg.add_counter("cpu.block.builds", &stats_.block_builds,
-                    /*replay_exact=*/false);
-    reg.add_counter("cpu.block.invalidations", &stats_.block_invalidations,
-                    /*replay_exact=*/false);
-    reg.add_gauge(
-        "cpu.block.hit_rate",
-        [this] {
-          const u64 total = stats_.block_hits + stats_.block_builds;
-          return total ? double(stats_.block_hits) / double(total) : 0.0;
-        },
-        /*replay_exact=*/false);
     reg.add_counter("cpu.sbc.translations", &sbc_stats_.translations,
                     /*replay_exact=*/false);
     reg.add_counter("cpu.sbc.hits", &sbc_stats_.hits,
@@ -240,6 +208,16 @@ class Cpu {
                     /*replay_exact=*/false);
     reg.add_counter("cpu.sbc.mem_fallbacks", &sbc_stats_.mem_fallbacks,
                     /*replay_exact=*/false);
+    // Fraction of dispatcher entries that found their block translated
+    // already (every translation is followed by one entry).
+    reg.add_gauge(
+        "cpu.sbc.hit_rate",
+        [this] {
+          const u64 hits = sbc_stats_.hits;
+          return hits ? double(hits - sbc_stats_.translations) / double(hits)
+                      : 0.0;
+        },
+        /*replay_exact=*/false);
     // Fraction of superblock entries that skipped the dispatcher via a
     // direct chain — the health number for cross-block chaining.
     reg.add_gauge(
@@ -269,9 +247,9 @@ class Cpu {
 
   // --- snapshot support ---
   /// Serialises architectural state, simulated time, the I/O bitmap and the
-  /// architectural counters. The block-cache counters (block_*) are derived
-  /// residue — the cache is rebuilt on demand after restore — and are
-  /// deliberately excluded so snapshots of a replayed run compare
+  /// architectural counters. The superblock cache and its counters are
+  /// derived residue — the cache is rebuilt on demand after restore — and
+  /// are deliberately excluded so snapshots of a replayed run compare
   /// byte-identical to snapshots of an uninterrupted one.
   void save(SnapshotWriter& w) const;
   void restore(SnapshotReader& r);
@@ -279,19 +257,14 @@ class Cpu {
  private:
   void step();
   /// Fetch-decode-execute tail shared by both paths, entered after pc has
-  /// been translated to `pa`. The only place monitor debug events fire.
+  /// been translated to `pa`. The only place monitor breakpoints and step
+  /// requests fire.
   void step_at(PAddr pa, u32 pc0);
-  /// Fast path: one translate at block entry, then dispatch the decoded
-  /// block with per-instruction budget/content/translation revalidation;
-  /// chains across pure-branch block tails without re-entering run().
-  /// When superblocks are enabled this is also the tier-2 dispatcher: it
-  /// looks the physical pc up in the superblock cache first, promotes hot
-  /// CachedBlocks, and installs chain edges the executor requests.
+  /// Superblock dispatcher: one translate at block entry, then a lookup in
+  /// the superblock cache, translating the block on a miss; runs it and
+  /// keeps dispatching across pure-branch block tails without re-entering
+  /// run(), installing the chain edges the executor requests.
   void run_cached(Cycles target);
-  /// Executes a cached block starting at st_.pc / pa0. Returns true iff
-  /// dispatch may chain straight into the next block (tail op left every
-  /// run()-loop condition unchanged and no fault/resync occurred).
-  bool exec_block(const CachedBlock& blk, PAddr pa0, Cycles stop);
 
   /// How a superblock execution returned control to the dispatcher.
   struct SbRun {
@@ -308,7 +281,7 @@ class Cpu {
     SuperBlock* from = nullptr;
     u8 slot = 0;
   };
-  /// Tier-2 executor: threaded dispatch over a translated superblock,
+  /// Superblock executor: threaded dispatch over a translated superblock,
   /// following direct chains internally. Entry fetch translation + page
   /// version check are the caller's (or the chain guard's) responsibility.
   SbRun exec_superblock(SuperBlock* sb, Cycles stop);
@@ -335,16 +308,16 @@ class Cpu {
 
   bool breakpoint_armed(PAddr pa) const;
   /// Records a completed store that overlaps an armed watch range. Out of
-  /// line, like raise_watch_hit: the flattened block tiers keep only the
-  /// checks that guard them.
+  /// line, like raise_watch_hit: the flattened superblock executor keeps
+  /// only the checks that guard them.
   __attribute__((noinline, cold)) void note_watched_store(VAddr va,
                                                           unsigned size,
                                                           u32 value);
   /// Raises Fault::watch() for the hit a just-retired store left pending
   /// (watch_pending_), recording `resume_pc` as where the guest resumes.
   __attribute__((noinline, cold)) void raise_watch_hit(u32 resume_pc);
-  /// Retires the decoded code on `pa`'s page, so both tiers decode its
-  /// blocks again around a changed breakpoint set.
+  /// Retires the decoded code on `pa`'s page, so its blocks are decoded
+  /// again around a changed breakpoint set.
   void invalidate_code_page(PAddr pa);
 
   PhysMem& mem_;
@@ -353,10 +326,8 @@ class Cpu {
   const CostModel& costs_;
   CpuState st_{};
   Mmu mmu_;         // snap:skip(serialized by Machine in its own kMmu section)
-  BlockCache bcache_;  // snap:skip(derived cache; dropped on restore)
   SuperblockCache sbcache_;  // snap:skip(derived cache; dropped on restore)
-  SbcStats sbc_stats_{};  // snap:skip(telemetry; excluded like block_*)
-  bool block_cache_enabled_ = true;  // snap:skip(host tuning knob)
+  SbcStats sbc_stats_{};  // snap:skip(telemetry of the derived cache)
   bool superblocks_enabled_ = true;  // snap:skip(host tuning knob)
   /// Handler table for exec_superblock's computed-goto dispatch, captured
   /// once at construction (null without the GNU labels-as-values extension).

@@ -84,7 +84,7 @@ class Mmu {
   void invlpg(VAddr va);
 
   /// Inline fast-path revalidation of a sequential instruction fetch, used
-  /// by the block-cache dispatch loop between instructions of a block. On a
+  /// by the superblock executor between instructions of a block. On a
   /// TLB hit with execute permission it fills `pa` and charges exactly what
   /// translate() would for that hit (zero cycles, one hit count) and
   /// returns true. Any other outcome — miss, permission violation, frame
@@ -133,7 +133,7 @@ class Mmu {
   /// — the per-instruction fetch_recheck() is proven to hit and its only
   /// observable effect is its hit count. This bumps the same counter the
   /// elided rechecks would have, keeping cpu.tlb.* bit-identical to the
-  /// block-cache and slow paths.
+  /// reference path.
   void count_proven_fetch_hits(u64 n) { hits_ += n; }
 
   // --- statistics ---

@@ -20,15 +20,15 @@
 // physical backstop behind the paper's third protection level.
 //
 // Precise code-write detection: each page keeps a 64-bit code mask, one bit
-// per 64-byte chunk, that the interpreter's block cache (cpu/block_cache.h)
-// sets over every range it decodes (mark_code). A write — CPU store, device
+// per 64-byte chunk, that superblock translation (cpu/superblock.h) sets
+// over every range it decodes (mark_code). A write — CPU store, device
 // DMA, monitor emulation, debugger poke — that overlaps a marked chunk
 // retires the page: it bumps the page's version and clears its mask. Each
 // decoded block is tagged with its code page's version, so every block on a
 // retired page misses from then on and is decoded afresh (re-marking its
 // chunks), no matter which agent wrote the page. A write to unmarked bytes
 // leaves the version alone, so data sharing a page with hot code does not
-// churn the caches. Masks and versions describe the host's decode history,
+// churn the cache. Masks and versions describe the host's decode history,
 // not the guest: snapshots never carry them, and adopt_cow / restore retire
 // every marked page before they replace the contents.
 #pragma once

@@ -1,5 +1,7 @@
 #include "cpu/superblock.h"
 
+#include <algorithm>
+
 namespace vdbg::cpu {
 
 namespace {
@@ -132,16 +134,35 @@ SbTail classify_tail(Opcode op) {
 
 }  // namespace
 
-SuperBlock* SuperblockCache::translate(const CachedBlock& blk,
-                                       const PhysMem& mem,
+SuperBlock* SuperblockCache::translate(PAddr pa, PhysMem& mem,
+                                       std::span<const PAddr> stops,
                                        const CostModel& costs,
                                        const void* const* labels,
                                        SbcStats& stats) {
-  SuperBlock& slot = slot_for(blk.pa);
+  // Decode forward from `pa`. Blocks never cross a page boundary, so a
+  // single page version covers the whole block, and in-page offsets make
+  // the virtual and physical instruction streams advance in lockstep.
+  const PAddr page_end = (pa & ~PAddr{kPageMask}) + kPageSize;
+  std::array<Instr, kMaxBlockInstrs> code;
+  u16 n = 0;
+  for (PAddr p = pa; n < kMaxBlockInstrs && p + kInstrBytes <= page_end &&
+                     mem.contains(p, kInstrBytes);
+       p += kInstrBytes) {
+    if (std::find(stops.begin(), stops.end(), p) != stops.end()) break;
+    u8 bytes[kInstrBytes];
+    mem.read_block(p, bytes);
+    if (!opcode_valid(bytes[0])) break;
+    code[n] = Instr::decode(bytes);
+    if (is_block_terminator(code[n++].op)) break;
+  }
+  if (n == 0) return nullptr;
+  mem.mark_code(pa, u32(n) * kInstrBytes);
+
+  SuperBlock& slot = slot_for(pa);
   if (slot.valid) drop(slot, stats);
 
-  for (u16 i = 0; i < blk.count; ++i) {
-    const Instr& in = blk.instrs[i];
+  for (u16 i = 0; i < n; ++i) {
+    const Instr& in = code[i];
     SbInstr& out = slot.instrs[i];
     out.cls = classify(in.op);
     out.handler = labels ? labels[static_cast<u8>(out.cls)] : nullptr;
@@ -152,11 +173,11 @@ SuperBlock* SuperblockCache::translate(const CachedBlock& blk,
     out.imm = in.imm;
   }
 
-  slot.pa = blk.pa;
-  slot.version = blk.version;
-  slot.version_ptr = mem.page_version_ptr(blk.pa >> kPageBits);
-  slot.count = blk.count;
-  slot.tail = classify_tail(blk.instrs[blk.count - 1].op);
+  slot.pa = pa;
+  slot.version_ptr = mem.page_version_ptr(pa >> kPageBits);
+  slot.version = *slot.version_ptr;
+  slot.count = n;
+  slot.tail = classify_tail(code[n - 1].op);
   // Pure = every non-tail instruction has a native class. Native handlers
   // never touch the TLB, never fault and never call out (div, stack and
   // system ops classify as kGeneric), so between two instructions of a pure
@@ -165,7 +186,7 @@ SuperBlock* SuperblockCache::translate(const CachedBlock& blk,
   // purity on the spot, and a memory op that falls back to kGeneric
   // revalidates like any generic op.
   bool pure = true;
-  for (u16 i = 0; i + 1 < blk.count; ++i) {
+  for (u16 i = 0; i + 1 < n; ++i) {
     if (slot.instrs[i].cls == SbClass::kGeneric) {
       pure = false;
       break;
@@ -174,13 +195,12 @@ SuperBlock* SuperblockCache::translate(const CachedBlock& blk,
   slot.pure = pure;
   u16 muls = 0;
   bool mem_ops = false;
-  for (u16 i = 0; i < blk.count; ++i) {
+  for (u16 i = 0; i < n; ++i) {
     const SbClass c = slot.instrs[i].cls;
     if (c == SbClass::kMul || c == SbClass::kMulI) ++muls;
     if (c >= SbClass::kLd8 && c <= SbClass::kSt32) mem_ops = true;
   }
   slot.mul_count = muls;
-  const u16 n = blk.count;
   slot.fast_charge = Cycles(n) * (costs.mem + costs.base);
   slot.fast_worst = pure && !mem_ops ? slot.fast_charge +
                                            Cycles(muls) * costs.mul +
@@ -195,10 +215,10 @@ SuperBlock* SuperblockCache::translate(const CachedBlock& blk,
                          ? n
                          : u16(n - 1);
   slot.fast_tlb = u16(n - 1);
-  for (u16 i = 0; i < blk.count; ++i) {
+  for (u16 i = 0; i < n; ++i) {
     SbClass fc = flags_dead_at(slot, i) ? nf_of(slot.instrs[i].cls)
                                         : slot.instrs[i].cls;
-    if (i + 2 == blk.count &&
+    if (i + 2 == n &&
         (fc == SbClass::kCmp || fc == SbClass::kCmpI) &&
         is_jcc_class(slot.instrs[i + 1].cls)) {
       fc = fused_cmp_jcc(fc, slot.instrs[i + 1].cls);

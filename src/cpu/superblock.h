@@ -1,16 +1,25 @@
-// Tier-2 execution: threaded superblocks promoted from hot cached blocks.
+// The CPU's fast execution path: threaded superblocks, decoded straight from
+// physical memory the first time the dispatcher reaches a block.
 //
-// The block cache (tier 1, block_cache.h) removes fetch/decode from the hot
-// path but still dispatches through a per-opcode switch and revalidates the
-// fetch translation between every two instructions. When a CachedBlock's
-// execution counter crosses the promotion threshold the dispatcher compiles
-// it into a SuperBlock: per-instruction handler pointers resolved once at
-// translation time (computed-goto dispatch, see Cpu::exec_superblock),
+// Translation decodes forward from a physical pc until a control-transfer /
+// privileged / I/O / trapping opcode (see is_block_terminator in isa.h), an
+// armed breakpoint, the page edge, the block-size cap or an undecodable
+// word, and compiles the run into a SuperBlock: per-instruction handler
+// pointers resolved once (computed-goto dispatch, see Cpu::exec_superblock),
 // operand decode hoisted out of the loop, loads and stores executed natively
 // behind an inline data-TLB hit check, and — for *pure* blocks whose
 // non-tail instructions all have native handlers — the per-instruction
 // revalidation replaced by the single page-version + fetch-translation guard
 // at superblock entry (the vTLB lookup inlined into the dispatcher).
+//
+// Indexing is PHYSICAL and content validity is guarded by PhysMem's
+// per-page code masks and write versions: translate() marks the 64-byte
+// chunks it decoded, and a guest store, DMA, monitor emulation or debugger
+// write that overlaps a marked chunk bumps the page's version, so a block
+// decoded from bytes that have since been written never runs again, while
+// writes to data that merely shares the page leave its blocks alone. TLB
+// events need no content invalidation: the dispatcher re-translates pc at
+// every block entry, so a remapped pc simply resolves to another block.
 //
 // Superblocks chain directly to each other in the style of QEMU's
 // tb_find_fast/tb_add_jump: a block ending in a direct branch (constant
@@ -21,27 +30,33 @@
 // and remapping; when a stale block is dropped (at lookup, by a failed
 // chain guard, on slot reuse or by invalidate_all) the incoming-jump list
 // is walked and every edge into the dying block is severed eagerly (the
-// tb_phys_invalidate analog). Superblocks are translated from cached
-// blocks, which never span an armed breakpoint, and arming one retires its
-// page's decoded code, so no chain guard ever lets one run past it.
+// tb_phys_invalidate analog). Decoding stops before an armed breakpoint, so
+// one is only ever a block head, which translate() refuses — the dispatcher
+// then takes the reference step that raises it — and arming one retires
+// its page's decoded code, so no chain guard ever lets one run past it.
 //
 // Determinism contract: a superblock retires exactly the state, cycle
-// charges and counter movements of the block-cache tier (which itself
-// matches the slow interpreter); tests/test_cpu_diff.cpp fuzzes all three
-// tiers in lockstep. Like the block cache, the superblock cache is derived
-// state: it is dropped on snapshot restore and rebuilt on demand.
+// charges and counter movements of the reference interpreter (Cpu::step);
+// tests/test_cpu_diff.cpp fuzzes the two in lockstep. The superblock cache
+// is derived state: it is dropped on snapshot restore and rebuilt on
+// demand.
 #pragma once
 
 #include <array>
+#include <span>
 #include <vector>
 
 #include "common/types.h"
-#include "cpu/block_cache.h"
 #include "cpu/cost_model.h"
 #include "cpu/isa.h"
 #include "cpu/phys_mem.h"
 
 namespace vdbg::cpu {
+
+/// Longest decoded block, in instructions. A 4 KiB page holds 512 aligned
+/// instruction words; capping well below that bounds the cache footprint
+/// while still covering realistic straight-line runs between branches.
+inline constexpr u32 kMaxBlockInstrs = 32;
 
 /// Dispatch classes the threaded executor implements natively. Everything
 /// else (stack ops, div, privileged/system ops, dynamic branches) routes
@@ -150,9 +165,9 @@ enum class SbClass : u8 {
 
 /// One translated instruction: handler resolved at translation time plus
 /// the hoisted operand decode. Register indices are stored raw (unmasked) —
-/// the native handlers mask with kNumGprs-1 exactly like exec_block, and the
-/// generic fallback needs the raw fields to reconstruct the original Instr
-/// (MovToCr, for one, distinguishes rd=9 from rd=1).
+/// the native handlers mask with kNumGprs-1 exactly like Cpu::execute, and
+/// the generic fallback needs the raw fields to reconstruct the original
+/// Instr (MovToCr, for one, distinguishes rd=9 from rd=1).
 struct SbInstr {
   const void* handler = nullptr;  // computed-goto label; null in fallback builds
   /// Fast-mode handler: same as `handler`, or the flag-elided twin when this
@@ -190,8 +205,8 @@ struct SuperBlock {
   /// and charge the proven TLB hits in bulk. Native handlers never touch the
   /// TLB or call out; a native store that retires this block's own page
   /// clears the executor's copy of the flag, and a memory op that falls back
-  /// to the generic path revalidates at its boundary. Impure blocks keep the
-  /// exact per-boundary revalidation of exec_block.
+  /// to the generic path revalidates at its boundary. Impure blocks
+  /// revalidate the fetch at every boundary, as the reference path does.
   bool pure = false;
   /// Number of kMul/kMulI instructions (they charge costs_.mul on top of the
   /// fetch cost). With it, a pure block's worst-case cycle charge is a
@@ -235,8 +250,9 @@ struct SuperBlock {
 /// Telemetry for the superblock tier (cpu.sbc.*). Not architectural state:
 /// excluded from snapshots, registered replay_exact=false.
 struct SbcStats {
-  u64 translations = 0;  // CachedBlocks promoted into superblocks
-  u64 hits = 0;          // dispatcher entries into a superblock
+  u64 translations = 0;  // blocks decoded into the cache
+  u64 hits = 0;          // dispatcher entries into a superblock (a first
+                         // dispatch right after its translation included)
   u64 chains = 0;        // direct block-to-block transitions taken
   u64 unchains = 0;      // chain edges severed (guard failure or eager)
   u64 invalidations = 0; // superblocks dropped (stale / explicit / reuse)
@@ -251,10 +267,6 @@ struct SbcStats {
 class SuperblockCache {
  public:
   static constexpr u32 kNumBlocks = 1024;  // power of two
-  /// Executions of a CachedBlock before it is promoted. Promotion timing is
-  /// architecturally invisible (all tiers retire bit-identical state), so
-  /// the threshold is a pure tuning knob.
-  static constexpr u16 kHotThreshold = 16;
 
   SuperblockCache() : blocks_(kNumBlocks) {}
 
@@ -263,8 +275,7 @@ class SuperblockCache {
   /// bumped page version — a write hit decoded bytes) is dropped eagerly
   /// so every chain through it is severed now, not when the slot happens
   /// to be reused. No hit-counter movement (the dispatcher counts hits
-  /// itself); on miss the caller falls back to the block-cache tier, which
-  /// drives promotion.
+  /// itself); on miss the caller uses translate().
   SuperBlock* lookup(PAddr pa, u64 version, SbcStats& stats) {
     SuperBlock& slot = slot_for(pa);
     if (slot.valid && slot.pa == pa) {
@@ -274,11 +285,18 @@ class SuperblockCache {
     return nullptr;
   }
 
-  /// Translates a hot CachedBlock into its superblock slot, evicting (and
-  /// unchaining) any previous occupant. `labels` is the executor's handler
-  /// table indexed by SbClass (null in builds without computed goto);
-  /// `costs` feeds the precomputed fast-entry charge constants.
-  SuperBlock* translate(const CachedBlock& blk, const PhysMem& mem,
+  /// Decodes the block starting at physical `pa` straight from `mem` into
+  /// its slot, evicting (and unchaining) any previous occupant, and marks
+  /// the decoded bytes in `mem`'s code mask. Decoding ends after a
+  /// terminator, or before an address in `stops` (the armed breakpoints),
+  /// the page edge, an undecodable word or the kMaxBlockInstrs cap.
+  /// Returns nullptr, leaving the slot alone, when nothing decodes at `pa`
+  /// (invalid head opcode, out-of-range fetch, or `pa` itself in `stops`);
+  /// the caller must then take the reference path, which raises the right
+  /// event. `labels` is the executor's handler table indexed by SbClass
+  /// (null in builds without computed goto); `costs` feeds the precomputed
+  /// fast-entry charge constants.
+  SuperBlock* translate(PAddr pa, PhysMem& mem, std::span<const PAddr> stops,
                         const CostModel& costs, const void* const* labels,
                         SbcStats& stats);
 

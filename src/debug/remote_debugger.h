@@ -148,8 +148,8 @@ class RemoteDebugger {
   /// Per-exit-kind monitor counters (qVdbg.ExitStats); nullopt when the
   /// stub does not answer or the reply is malformed.
   std::optional<std::vector<RemoteExitStat>> exit_stats();
-  /// Highest enabled execution tier, "interp" / "block-cache" /
-  /// "superblock" (qVdbg.Tier); nullopt when the stub does not answer.
+  /// Enabled execution path, "interp" / "superblock" (qVdbg.Tier);
+  /// nullopt when the stub does not answer.
   std::optional<std::string> exec_tier();
   /// Metrics snapshot (qVdbg.Metrics), optionally filtered by name prefix.
   /// Empty vector when the registry has no matching entries; nullopt when

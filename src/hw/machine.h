@@ -100,7 +100,7 @@ class Machine final : public Clock {
   void remove_instr_hook(int id);
 
   /// Registers every component's counters with a metrics registry
-  /// (cpu.core.*, cpu.block.*, cpu.tlb.*, hw.pic.*, hw.pit.*, hw.uart.*,
+  /// (cpu.core.*, cpu.sbc.*, cpu.tlb.*, hw.pic.*, hw.pit.*, hw.uart.*,
   /// hw.nic.*, hw.scsi<N>.*, hw.machine.*). Monitor metrics on top are
   /// registered separately by their owner (see vmm::Lvmm::register_metrics).
   void register_metrics(MetricsRegistry& reg);

@@ -25,7 +25,7 @@
 // can no longer tear a stub M command.
 //
 // The cache has a kill switch (set_translation_cache_enabled) mirroring
-// the interpreter's block cache: disabled, every access performs a full
+// the CPU's superblock switch: disabled, every access performs a full
 // walk. Simulated timing is charged through the charge hook — walk_cost
 // per full walk, hit_cost per cached translation.
 #pragma once
@@ -67,7 +67,7 @@ class GuestMemory final : public TranslationListener {
     hit_cost_ = hit;
   }
 
-  /// Kill switch mirroring Cpu::set_block_cache_enabled: disabled, every
+  /// Kill switch mirroring Cpu::set_superblocks_enabled: disabled, every
   /// translation performs a full guest walk. Translation results are
   /// identical either way; only the per-access charge differs (walk vs hit).
   void set_translation_cache_enabled(bool on) {

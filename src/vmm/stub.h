@@ -29,8 +29,8 @@
 //   qVdbg.ExitStats      -> "<kind>:<count>:<cycles>;..." per exit kind
 //   qVdbg.MonitorIntact  -> "1"/"0" (canary check)
 //   qVdbg.Icount         -> decimal retired guest instructions
-//   qVdbg.Tier           -> highest enabled execution tier:
-//                           "interp" / "block-cache" / "superblock"
+//   qVdbg.Tier           -> enabled execution path:
+//                           "interp" / "superblock"
 //   qVdbg.Checkpoint     -> take a checkpoint now ("OK")
 //   qVdbg.Checkpoints    -> decimal checkpoints held in the ring
 //   qVdbg.Snapshot.Save  -> serialise full state into the host-side slot

@@ -202,12 +202,11 @@ std::string DebugStub::cmd_query(const std::string& q) {
     return std::to_string(mon_.machine().cpu().stats().instructions);
   }
   if (q == "Vdbg.Tier") {
-    // Highest execution tier currently enabled. Purely informational: the
-    // tiers retire bit-identical state, so this never affects debugging
+    // Execution path currently enabled. Purely informational: both paths
+    // retire bit-identical state, so this never affects debugging
     // semantics, only guest throughput.
-    const auto& cpu = mon_.machine().cpu();
-    if (!cpu.block_cache_enabled()) return "interp";
-    return cpu.superblocks_enabled() ? "superblock" : "block-cache";
+    return mon_.machine().cpu().superblocks_enabled() ? "superblock"
+                                                      : "interp";
   }
   if (q == "Vdbg.Checkpoint") {
     if (!tt_) return "E01";

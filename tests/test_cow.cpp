@@ -85,7 +85,7 @@ TEST(CowPhysMem, ForkedSiblingsWriteTheSamePageWithoutInterference) {
 // ------------------------------------------------- decoded-code tracking --
 
 TEST(PhysMemCode, WritesRetireExactlyThePagesWhoseMarkedChunksTheyOverlap) {
-  // Pages 2..5; the block cache marks the 64-byte chunks it decoded.
+  // Pages 2..5; superblock translation marks the 64-byte chunks it decoded.
   PhysMem m(kMemBytes);
   const u32 p2 = 2 * kPageSize, p3 = 3 * kPageSize, p5 = 5 * kPageSize;
   std::array<u64, 4> seen{};

@@ -1,27 +1,27 @@
-// Differential testing of the interpreter.
+// Differential testing of the CPU.
 //
-// Two layers:
+// Layers:
 //  * RandomAluMemProgramsMatchReference — random straight-line ALU/memory
 //    programs executed both by the VX32 interpreter and by a tiny
 //    independent reference model of the ISA semantics; final register files
 //    and memory effects must agree exactly.
-//  * The three-tier lockstep fuzz — the superblock tier (tier 2) and the
-//    block-cache tier (tier 1) versus the kill-switched slow interpreter
-//    (tier 0), run in lockstep over random programs with branches, calls,
-//    software interrupts, self-modifying stores and deterministically
-//    injected external interrupts. Every slice, the architectural state,
-//    cycle count and (non-telemetry) stats of all three CPUs must be
-//    bit-identical; that is the fast paths' correctness contract.
+//  * The lockstep fuzz — superblocks versus the kill-switched reference
+//    interpreter, run in lockstep over random programs with branches,
+//    calls, software interrupts, self-modifying stores and
+//    deterministically injected external interrupts. Every slice, the
+//    architectural state, cycle count and stats of both CPUs must be
+//    bit-identical; that is the fast path's correctness contract.
 //  * The same lockstep loop with guest paging on, partly at ring 3, over a
-//    load/store-heavy mix that reaches every fallback of the superblock
-//    tier's native loads and stores.
-//  * Directed superblock cases: chain unchaining under self-modifying code
-//    and breakpoint patching, data stores beside hot code that must not
-//    retire it, a hot block's store into its own later instruction, a
-//    generic fall-through tail, chaining across a page-boundary block cut,
-//    the generic-tail self-chain guard, and the monitor's armed
-//    breakpoints, step requests and write watchpoints across all three
-//    tiers.
+//    load/store-heavy mix that reaches every fallback of the superblocks'
+//    native loads and stores.
+//  * Directed superblock cases: cold blocks translated on first dispatch,
+//    chain requests across a recycled cache slot, chain unchaining under
+//    self-modifying code and breakpoint patching, data stores beside hot
+//    code that must not retire it, a hot block's store into its own later
+//    instruction, a generic fall-through tail, chaining across a
+//    page-boundary block cut, the generic-tail self-chain guard, and the
+//    monitor's armed breakpoints, step requests and write watchpoints on
+//    both paths.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -198,7 +198,7 @@ TEST(CpuDifferential, FlagSemanticsMatchTwoComplementIdentities) {
 }
 
 // ---------------------------------------------------------------------------
-// Cached vs uncached differential fuzz
+// Superblocks vs reference interpreter lockstep fuzz
 // ---------------------------------------------------------------------------
 
 /// Interrupt line the test asserts by hand (deterministically, between run
@@ -292,8 +292,8 @@ void emit_scratch_access(Assembler& a, Rng& rng) {
 }
 
 /// Self-modifying store into the program image: r5 holds the program base;
-/// clobber a random instruction word. The block cache must detect the new
-/// page version; the uncached CPU refetches anyway.
+/// clobber a random instruction word. Superblocks must detect the new page
+/// version; the reference interpreter refetches anyway.
 void emit_smc_word(Assembler& a, Rng& rng, unsigned len) {
   const i32 disp = static_cast<i32>(rng.below(len)) * 8 +
                    (rng.chance(0.5) ? 4 : 0);
@@ -371,40 +371,37 @@ void emit_fuzz_program(Assembler& a, Rng& rng, unsigned len,
   if (mix.loop) a.jmp(l("L0"));
 }
 
-/// Asserts rig `b` (a fast tier) is architecturally bit-identical to the
-/// reference rig `a` (the slow interpreter) at a run-slice boundary.
-void expect_rigs_identical(DiffRig& a, DiffRig& b, int trial, int slice,
-                           const char* tier) {
+/// Asserts rig `b` (superblocks) is architecturally bit-identical to the
+/// reference rig `a` (the interpreter) at a run-slice boundary.
+void expect_rigs_identical(DiffRig& a, DiffRig& b, int trial, int slice) {
   const auto& sa = a.cpu.state();
   const auto& sb = b.cpu.state();
   ASSERT_EQ(a.cpu.cycles(), b.cpu.cycles())
-      << tier << " trial " << trial << " slice " << slice;
-  ASSERT_EQ(sa.pc, sb.pc) << tier << " trial " << trial << " slice " << slice;
-  ASSERT_EQ(sa.psw, sb.psw) << tier << " trial " << trial << " slice "
-                            << slice;
-  ASSERT_EQ(sa.regs, sb.regs) << tier << " trial " << trial << " slice "
-                              << slice;
-  ASSERT_EQ(sa.cr, sb.cr) << tier << " trial " << trial << " slice " << slice;
+      << "trial " << trial << " slice " << slice;
+  ASSERT_EQ(sa.pc, sb.pc) << "trial " << trial << " slice " << slice;
+  ASSERT_EQ(sa.psw, sb.psw) << "trial " << trial << " slice " << slice;
+  ASSERT_EQ(sa.regs, sb.regs) << "trial " << trial << " slice " << slice;
+  ASSERT_EQ(sa.cr, sb.cr) << "trial " << trial << " slice " << slice;
   ASSERT_EQ(sa.idt_base, sb.idt_base);
   ASSERT_EQ(sa.idt_count, sb.idt_count);
   ASSERT_EQ(a.cpu.halted(), b.cpu.halted());
   ASSERT_EQ(a.intr.pending(), b.intr.pending());
 
-  // Architectural stats must match exactly; block_* and the sbc stats are
-  // fast-path-only telemetry and excluded by contract.
+  // Architectural stats must match exactly; the sbc stats are fast-path
+  // telemetry and excluded by contract.
   const auto& ta = a.cpu.stats();
   const auto& tb = b.cpu.stats();
   ASSERT_EQ(ta.instructions, tb.instructions)
-      << tier << " trial " << trial << " slice " << slice;
+      << "trial " << trial << " slice " << slice;
   ASSERT_EQ(ta.mem_accesses, tb.mem_accesses)
-      << tier << " trial " << trial << " slice " << slice;
+      << "trial " << trial << " slice " << slice;
   ASSERT_EQ(ta.io_accesses, tb.io_accesses);
   ASSERT_EQ(ta.exceptions, tb.exceptions);
   ASSERT_EQ(ta.interrupts, tb.interrupts)
-      << tier << " trial " << trial << " slice " << slice;
+      << "trial " << trial << " slice " << slice;
   ASSERT_EQ(ta.hook_events, tb.hook_events);
   ASSERT_EQ(a.cpu.mmu().tlb_hits(), b.cpu.mmu().tlb_hits())
-      << tier << " trial " << trial << " slice " << slice;
+      << "trial " << trial << " slice " << slice;
   ASSERT_EQ(a.cpu.mmu().tlb_misses(), b.cpu.mmu().tlb_misses());
 }
 
@@ -419,23 +416,20 @@ u64 env_u64(const char* name, u64 fallback) {
   return (end != nullptr && *end == '\0') ? parsed : fallback;
 }
 
-/// The three rigs of one lockstep trial: tier 0 (slow interpreter), tier 1
-/// (block cache only) and tier 2 (superblocks on top).
-struct TierRigs {
-  TierRigs() {
-    interp.cpu.set_block_cache_enabled(false);
-    block.cpu.set_superblocks_enabled(false);
-  }
-  std::array<DiffRig*, 3> all() { return {&interp, &block, &super}; }
-  DiffRig interp, block, super;
+/// The two rigs of one lockstep trial: the reference interpreter and
+/// superblocks.
+struct LockstepRigs {
+  LockstepRigs() { interp.cpu.set_superblocks_enabled(false); }
+  std::array<DiffRig*, 2> all() { return {&interp, &super}; }
+  DiffRig interp, super;
 };
 
 /// Runs the rigs in lockstep for 60 slices, injecting an external interrupt
-/// every fifth slice. After every slice the fast tiers must be bit-identical
+/// every fifth slice. After every slice superblocks must be bit-identical
 /// to the interpreter, and every seventh slice their whole memory too;
 /// `after_slice` then runs (with the memory just compared on those slices).
 /// Stops early at a fatal mismatch or when the interpreter shut down.
-void run_lockstep(TierRigs& t, int trial,
+void run_lockstep(LockstepRigs& t, int trial,
                   const std::function<void(int slice)>& after_slice = {}) {
   for (int slice = 0; slice < 60; ++slice) {
     // Deterministic external interrupt injection between slices.
@@ -443,40 +437,30 @@ void run_lockstep(TierRigs& t, int trial,
       for (DiffRig* r : t.all()) r->intr.assert_vector(kExtVector);
     }
     const auto ra = t.interp.cpu.run(997);
-    const auto rb = t.block.cpu.run(997);
-    const auto rc = t.super.cpu.run(997);
+    const auto rb = t.super.cpu.run(997);
     ASSERT_EQ(ra, rb) << "trial " << trial << " slice " << slice;
-    ASSERT_EQ(ra, rc) << "trial " << trial << " slice " << slice;
-    expect_rigs_identical(t.interp, t.block, trial, slice, "block-cache");
-    if (::testing::Test::HasFatalFailure()) return;
-    expect_rigs_identical(t.interp, t.super, trial, slice, "superblock");
+    expect_rigs_identical(t.interp, t.super, trial, slice);
     if (::testing::Test::HasFatalFailure()) return;
 
     // Periodic full-memory compare (self-modifying stores and stack
     // traffic must land identically).
     if (slice % 7 == 0) {
-      const auto ma = dump_mem(t.interp.mem);
-      ASSERT_EQ(ma, dump_mem(t.block.mem))
-          << "trial " << trial << " slice " << slice;
-      ASSERT_EQ(ma, dump_mem(t.super.mem))
+      ASSERT_EQ(dump_mem(t.interp.mem), dump_mem(t.super.mem))
           << "trial " << trial << " slice " << slice;
     }
     if (after_slice) after_slice(slice);
     if (::testing::Test::HasFatalFailure()) return;
-    if (t.interp.cpu.shutdown()) break;  // triple fault: all dead (checked)
+    if (t.interp.cpu.shutdown()) break;  // triple fault: both dead (checked)
   }
-  for (DiffRig* r : {&t.block, &t.super}) {
-    ASSERT_EQ(dump_mem(t.interp.mem), dump_mem(r->mem)) << "trial " << trial;
-  }
+  ASSERT_EQ(dump_mem(t.interp.mem), dump_mem(t.super.mem)) << "trial " << trial;
 }
 
-TEST(CpuDifferential, ThreeTierLockstepFuzz) {
+TEST(CpuDifferential, LockstepFuzz) {
   const int trials = static_cast<int>(env_u64("VDBG_FUZZ_TRIALS", 30));
   Rng rng(env_u64("VDBG_FUZZ_SEED", 20260806));
-  u64 total_hits = 0, total_builds = 0, total_invals = 0;
   cpu::SbcStats sb_totals;
   for (int trial = 0; trial < trials; ++trial) {
-    // One program image, loaded into all three rigs.
+    // One program image, loaded into both rigs.
     Assembler a(0x1000);
     a.movi(cpu::kR0, l("idt"));
     a.lidt(cpu::kR0, 64);
@@ -489,43 +473,34 @@ TEST(CpuDifferential, ThreeTierLockstepFuzz) {
     emit_fuzz_idt(a);
     auto prog = a.finalize();
 
-    TierRigs t;
+    LockstepRigs t;
     for (DiffRig* r : t.all()) {
       prog.load(r->mem);
       r->cpu.state().pc = 0x1000;
     }
     run_lockstep(t, trial);
     if (::testing::Test::HasFatalFailure()) return;
-    total_hits += t.block.cpu.stats().block_hits;
-    total_builds += t.block.cpu.stats().block_builds;
-    total_invals += t.block.cpu.stats().block_invalidations;
     const auto& sbc = t.super.cpu.sbc_stats();
     sb_totals.translations += sbc.translations;
     sb_totals.hits += sbc.hits;
     sb_totals.chains += sbc.chains;
     sb_totals.unchains += sbc.unchains;
     sb_totals.invalidations += sbc.invalidations;
-    EXPECT_EQ(0u, t.interp.cpu.stats().block_hits);
-    EXPECT_EQ(0u, t.interp.cpu.stats().block_builds);
-    // Tier 1's superblock switch is off: its sbc stats must stay zero.
-    EXPECT_EQ(0u, t.block.cpu.sbc_stats().translations);
-    EXPECT_EQ(0u, t.block.cpu.sbc_stats().hits);
+    // The interpreter rig's kill switch is off: its sbc stats stay zero.
+    EXPECT_EQ(0u, t.interp.cpu.sbc_stats().translations);
+    EXPECT_EQ(0u, t.interp.cpu.sbc_stats().hits);
   }
-  // The fuzz must actually have exercised the fast paths and both
-  // invalidation mechanisms, or the whole comparison is vacuous. The rare
-  // events (self-modifying stores, superblock drops) need a full-size run
-  // to be guaranteed; a shrunk VDBG_FUZZ_TRIALS repro run skips the
-  // coverage audit.
+  // The fuzz must actually have exercised the fast path, its chaining and
+  // its invalidation, or the whole comparison is vacuous. The rare events
+  // (self-modifying stores, superblock drops) need a full-size run to be
+  // guaranteed; a shrunk VDBG_FUZZ_TRIALS repro run skips the coverage
+  // audit.
   if (trials < 30) return;
-  EXPECT_GT(total_hits, 0u);
-  EXPECT_GT(total_builds, 0u);
-  EXPECT_GT(total_invals, 0u) << "no self-modifying store invalidated a "
-                                 "cached block across all trials";
-  EXPECT_GT(sb_totals.translations, 0u) << "no hot block was ever promoted";
+  EXPECT_GT(sb_totals.translations, 0u) << "no block was ever translated";
   EXPECT_GT(sb_totals.hits, 0u) << "no superblock was ever dispatched";
   EXPECT_GT(sb_totals.chains, 0u) << "no direct chain was ever followed";
   EXPECT_GT(sb_totals.invalidations, 0u)
-      << "no superblock was ever dropped across all trials";
+      << "no self-modifying store dropped a superblock across all trials";
 }
 
 // ---------------------------------------------------------------------------
@@ -620,7 +595,7 @@ void emit_smc_any(Assembler& a, Rng& rng, unsigned len) {
 constexpr FuzzMix kPagedMix{15, 70, 84, 88, 91, 94, emit_paged_access,
                             emit_smc_any, true};
 
-TEST(CpuDifferential, ThreeTierPagedMemoryFuzz) {
+TEST(CpuDifferential, PagedMemoryLockstepFuzz) {
   // The lockstep fuzz again, with guest paging on, most trials at ring 3
   // and a load/store-heavy body: every fallback of the superblock tier's
   // native loads and stores (misaligned, TLB miss, supervisor page from
@@ -641,7 +616,7 @@ TEST(CpuDifferential, ThreeTierPagedMemoryFuzz) {
     const bool ring3 = rng.chance(0.7);
     ring3_trials += ring3;
 
-    TierRigs t;
+    LockstepRigs t;
     prog.load(t.interp.mem);
     map_fuzz_pages(t.interp.mem);
     const cpu::CowPages boot = t.interp.mem.capture_cow();
@@ -664,18 +639,16 @@ TEST(CpuDifferential, ThreeTierPagedMemoryFuzz) {
     // cleans every D bit and flushes the TLB, as an OS writing back dirty
     // pages would, so hot blocks meet read-filled entries again. The memory
     // of slice 14 is captured;
-    // all three roll back to it at slice 28 and to the boot image at slice
-    // 42 (each just compared): blocks decoded from the newer contents must
+    // both roll back to it at slice 28 and to the boot image at slice 42
+    // (each just compared): blocks decoded from the newer contents must
     // not survive an adoption.
     cpu::CowPages saved;
     run_lockstep(t, trial, [&](int slice) {
       std::array<u8, cpu::kPageSize> pt;
       t.interp.mem.read_block(kPtPhys, pt);
-      for (DiffRig* r : {&t.block, &t.super}) {
-        std::array<u8, cpu::kPageSize> other;
-        r->mem.read_block(kPtPhys, other);
-        ASSERT_EQ(pt, other) << "trial " << trial << " slice " << slice;
-      }
+      std::array<u8, cpu::kPageSize> other;
+      t.super.mem.read_block(kPtPhys, other);
+      ASSERT_EQ(pt, other) << "trial " << trial << " slice " << slice;
       if (slice % 10 == 5) {
         for (DiffRig* r : t.all()) {
           for (const FuzzPage& p : kFuzzPages) {
@@ -693,7 +666,7 @@ TEST(CpuDifferential, ThreeTierPagedMemoryFuzz) {
       }
     });
     if (::testing::Test::HasFatalFailure()) return;
-    total_invals += t.block.cpu.stats().block_invalidations;
+    total_invals += t.super.cpu.sbc_stats().invalidations;
     mem_native += t.super.cpu.sbc_stats().mem_native;
     mem_fallbacks += t.super.cpu.sbc_stats().mem_fallbacks;
   }
@@ -705,11 +678,104 @@ TEST(CpuDifferential, ThreeTierPagedMemoryFuzz) {
   EXPECT_GT(total_invals, 0u) << "no store retired a decoded block";
 }
 
+TEST(CpuDifferential, ColdBlocksRunAsSuperblocks) {
+  // Straight-line code that never loops, so every block is dispatched
+  // exactly once: each must be translated on that first dispatch and run as
+  // a superblock — through a load outside physical memory (#GP, skipped by
+  // the handler) and a software interrupt — bit-identical to the reference
+  // interpreter.
+  constexpr unsigned kLinks = 40;
+  Assembler a(0x1000);
+  for (unsigned i = 0; i < kLinks; ++i) {
+    a.label("b" + std::to_string(i));
+    a.addi(cpu::kR0, cpu::kR0, u32{i + 1});
+    a.xori(cpu::kR1, cpu::kR0, u32{0x55});
+    a.jmp(l("b" + std::to_string(i + 1)));
+  }
+  a.label("b" + std::to_string(kLinks));
+  a.ld32(cpu::kR3, cpu::kR2, 0);       // r2 = first byte past memory: #GP
+  a.addi(cpu::kR0, cpu::kR0, u32{1});  // resumes here
+  a.int_(40);
+  a.addi(cpu::kR0, cpu::kR0, u32{1});  // resumes here after the iret
+  a.hlt();
+  emit_fuzz_idt(a);
+  auto prog = a.finalize();
+  // The chain links, the load's block and its two resume points, and the
+  // skip and iret stubs.
+  constexpr u64 kBlocks = kLinks + 5;
+
+  LockstepRigs t;
+  for (DiffRig* r : t.all()) {
+    prog.load(r->mem);
+    auto& st = r->cpu.state();
+    st.pc = 0x1000;
+    st.regs[cpu::kSp] = 0x9000;
+    st.regs[cpu::kR2] = r->mem.size();
+    st.idt_base = prog.symbol("idt").value();
+    st.idt_count = 64;
+  }
+  for (DiffRig* r : t.all()) {
+    ASSERT_EQ(r->cpu.run(1'000'000), cpu::RunExit::kHalted);
+  }
+  expect_rigs_identical(t.interp, t.super, 0, 0);
+  EXPECT_EQ(dump_mem(t.interp.mem), dump_mem(t.super.mem));
+  EXPECT_EQ(t.super.cpu.stats().exceptions, 2u) << "#GP and the int";
+
+  const auto& sbc = t.super.cpu.sbc_stats();
+  EXPECT_EQ(sbc.translations, kBlocks);
+  EXPECT_EQ(sbc.hits, kBlocks) << "a block was dispatched twice";
+  EXPECT_EQ(sbc.mem_fallbacks, 1u) << "the load did not fall back";
+}
+
+TEST(CpuDifferential, ChainRequestNeverLandsOnARecycledSlot) {
+  // Block heads 8 KiB apart share a superblock cache slot. The block at
+  // 0x1000 jumps to 0x3000, and translating the target evicts the jumping
+  // block from that very slot. Its pending chain request must die with it
+  // instead of giving the new block a self-edge it never asked for (the
+  // chain guard would catch that edge on its physical-target check, but
+  // only as a failed guard and a spurious unchain).
+  auto build = [](CpuHarness& h) {
+    h.load([](Assembler& a) {
+      a.movi(cpu::kR0, u32{0});
+      a.jmp(l("far"));
+      while (a.here() < 0x3000) a.nop();
+      a.label("far");
+      a.movi(cpu::kR1, u32{0});
+      a.label("loop");  // the far block's taken edge, not its own head
+      a.addi(cpu::kR1, cpu::kR1, u32{1});
+      a.cmpi(cpu::kR1, u32{100});
+      a.jnz(l("loop"));
+      a.hlt();
+    });
+  };
+
+  CpuHarness super, interp;
+  build(super);
+  build(interp);
+  interp.cpu.set_superblocks_enabled(false);
+  ASSERT_EQ(super.prog.symbol("far").value(), 0x3000u);
+  ASSERT_EQ(super.cpu.run(100000), cpu::RunExit::kHalted);
+  ASSERT_EQ(interp.cpu.run(100000), cpu::RunExit::kHalted);
+
+  EXPECT_EQ(100u, super.reg(cpu::kR1));
+  EXPECT_EQ(super.cpu.state().regs, interp.cpu.state().regs);
+  EXPECT_EQ(super.cpu.state().pc, interp.cpu.state().pc);
+  EXPECT_EQ(super.cpu.state().psw, interp.cpu.state().psw);
+  EXPECT_EQ(super.cpu.cycles(), interp.cpu.cycles());
+  EXPECT_EQ(super.cpu.stats().instructions, interp.cpu.stats().instructions);
+  EXPECT_EQ(super.cpu.stats().mem_accesses, interp.cpu.stats().mem_accesses);
+  EXPECT_EQ(dump_mem(super.mem), dump_mem(interp.mem));
+
+  const auto& sbc = super.cpu.sbc_stats();
+  EXPECT_GT(sbc.chains, 0u) << "the loop never chained";
+  EXPECT_EQ(sbc.unchains, 0u) << "an edge nobody requested was installed";
+}
+
 TEST(CpuDifferential, SelfModifyingCodePatchesTakeEffectBothPaths) {
-  // Pass 1 executes a placeholder NOP that is part of a hot cached block,
+  // Pass 1 executes a placeholder NOP that is part of a translated block,
   // then patches it to `movi r2, 7` in place; pass 2 must execute the
-  // patched instruction. The cached CPU must detect the stale block (page
-  // version bump) and rebuild; both CPUs end bit-identical.
+  // patched instruction. Superblocks must detect the stale block (page
+  // version bump) and retranslate; both CPUs end bit-identical.
   Instr patch;
   patch.op = Opcode::kMovI;
   patch.rd = 2;
@@ -746,7 +812,7 @@ TEST(CpuDifferential, SelfModifyingCodePatchesTakeEffectBothPaths) {
   CpuHarness cached, uncached;
   build(cached);
   build(uncached);
-  uncached.cpu.set_block_cache_enabled(false);
+  uncached.cpu.set_superblocks_enabled(false);
   ASSERT_EQ(cached.cpu.run(10000), cpu::RunExit::kHalted);
   ASSERT_EQ(uncached.cpu.run(10000), cpu::RunExit::kHalted);
 
@@ -756,16 +822,16 @@ TEST(CpuDifferential, SelfModifyingCodePatchesTakeEffectBothPaths) {
   EXPECT_EQ(cached.cpu.cycles(), uncached.cpu.cycles());
   EXPECT_EQ(cached.cpu.stats().instructions,
             uncached.cpu.stats().instructions);
-  EXPECT_GE(cached.cpu.stats().block_invalidations, 1u)
+  EXPECT_GE(cached.cpu.sbc_stats().invalidations, 1u)
       << "stale block was not detected";
 }
 
 TEST(CpuDifferential, BreakpointPatchViaWriteVirtInvalidates) {
-  // Debugger-style breakpoint patching: run a hot loop until its block is
-  // cached, then rewrite the opcode of one loop instruction to kBrk through
-  // Cpu::write_virt (the debug stub's code path for inserting breakpoints).
+  // Debugger-style breakpoint patching: run a hot loop as a self-chaining
+  // superblock, then rewrite the opcode of one loop instruction to kBrk
+  // through Cpu::write_virt (a debugger's code path for poking memory).
   // Both CPUs must take #BP at the same pc with identical state, and the
-  // cached CPU must invalidate the stale block rather than execute it.
+  // superblock CPU must invalidate the stale block rather than execute it.
   auto build = [](CpuHarness& h) {
     h.load([](Assembler& a) {
       a.movi(cpu::kR0, l("idt"));
@@ -786,16 +852,14 @@ TEST(CpuDifferential, BreakpointPatchViaWriteVirtInvalidates) {
   CpuHarness cached, uncached;
   build(cached);
   build(uncached);
-  uncached.cpu.set_block_cache_enabled(false);
+  uncached.cpu.set_superblocks_enabled(false);
 
-  // Let the loop get hot (the cached rig builds and reuses its block).
+  // Let the loop run: its superblock must be live (and self-chaining)
+  // before the patch lands.
   ASSERT_EQ(cached.cpu.run(5000), cpu::RunExit::kBudget);
   ASSERT_EQ(uncached.cpu.run(5000), cpu::RunExit::kBudget);
   ASSERT_EQ(cached.cpu.cycles(), uncached.cpu.cycles());
   ASSERT_EQ(cached.cpu.state().regs, uncached.cpu.state().regs);
-  ASSERT_GT(cached.cpu.stats().block_hits, 0u);
-  // The loop is long past the promotion threshold: the superblock tier must
-  // be live (and self-chaining) before the patch lands.
   ASSERT_GT(cached.cpu.sbc_stats().translations, 0u);
   ASSERT_GT(cached.cpu.sbc_stats().chains, 0u);
   const u64 sb_invals_before = cached.cpu.sbc_stats().invalidations;
@@ -819,25 +883,24 @@ TEST(CpuDifferential, BreakpointPatchViaWriteVirtInvalidates) {
   EXPECT_EQ(ra.sp, rb.sp);
   EXPECT_EQ(cached.cpu.cycles(), uncached.cpu.cycles());
   EXPECT_EQ(cached.cpu.state().regs, uncached.cpu.state().regs);
-  EXPECT_GE(cached.cpu.stats().block_invalidations, 1u);
-  // The breakpoint patch must also have severed the stale superblock (and
-  // its self-chain) rather than let the chained loop keep running the old
-  // translation: write_virt goes through the eager invalidation hook.
+  // The breakpoint patch must have severed the stale superblock (and its
+  // self-chain) rather than let the chained loop keep running the old
+  // translation: the write retired the page's decoded code.
   EXPECT_GT(cached.cpu.sbc_stats().invalidations, sb_invals_before);
   EXPECT_GT(cached.cpu.sbc_stats().unchains, 0u);
 
-  // The explicit belt-and-braces API also drops blocks in both tiers.
-  const u64 before = cached.cpu.stats().block_invalidations;
-  cached.cpu.invalidate_block_cache();
-  EXPECT_GT(cached.cpu.stats().block_invalidations, before);
+  // The explicit API drops every live superblock too.
+  const u64 before = cached.cpu.sbc_stats().invalidations;
+  cached.cpu.invalidate_superblocks();
+  EXPECT_GT(cached.cpu.sbc_stats().invalidations, before);
 }
 
 TEST(CpuDifferential, SuperblockSmcGuestStoreSeversChainAndRetranslates) {
   // A hot self-chained loop whose body is patched by a guest store after it
-  // has been promoted: the placeholder NOP becomes `movi r2, 7` for the
-  // second hundred iterations. The superblock tier must detect the page
-  // version bump, sever the loop's self-chain, retranslate, and end
-  // bit-identical to the slow interpreter.
+  // has been translated: the placeholder NOP becomes `movi r2, 7` for the
+  // second hundred iterations. Superblocks must detect the page version
+  // bump, sever the loop's self-chain, retranslate, and end bit-identical
+  // to the reference interpreter.
   Instr patch;
   patch.op = Opcode::kMovI;
   patch.rd = 2;
@@ -879,7 +942,7 @@ TEST(CpuDifferential, SuperblockSmcGuestStoreSeversChainAndRetranslates) {
   CpuHarness super, interp;
   build(super);
   build(interp);
-  interp.cpu.set_block_cache_enabled(false);
+  interp.cpu.set_superblocks_enabled(false);
   ASSERT_EQ(super.cpu.run(20000), cpu::RunExit::kHalted);
   ASSERT_EQ(interp.cpu.run(20000), cpu::RunExit::kHalted);
 
@@ -903,8 +966,8 @@ TEST(CpuDifferential, DataStoreOnCodePageKeepsDecodedBlocks) {
   // A hot loop keeps its counter on its own code page, 128 bytes past its
   // last instruction, the way small RTOS images keep driver variables next
   // to their code. Only writes that overlap decoded bytes retire a page, so
-  // once warm the loop never rebuilds a block or retranslates a superblock
-  // — and all three tiers stay bit-identical.
+  // once warm the loop never retranslates a superblock — and it stays
+  // bit-identical to the reference interpreter.
   auto build = [](CpuHarness& h) {
     h.load([](Assembler& a) {
       a.movi(cpu::kR0, u32{0});
@@ -923,10 +986,9 @@ TEST(CpuDifferential, DataStoreOnCodePageKeepsDecodedBlocks) {
     });
   };
 
-  std::array<CpuHarness, 3> rigs;  // superblock, block cache, interpreter
+  std::array<CpuHarness, 2> rigs;  // superblock, interpreter
   for (auto& r : rigs) build(r);
   rigs[1].cpu.set_superblocks_enabled(false);
-  rigs[2].cpu.set_block_cache_enabled(false);
   const u32 counter = rigs[0].prog.symbol("counter").value();
   ASSERT_EQ(counter >> cpu::kPageBits, 0x1000u >> cpu::kPageBits);
 
@@ -938,10 +1000,8 @@ TEST(CpuDifferential, DataStoreOnCodePageKeepsDecodedBlocks) {
     ASSERT_EQ(r.cpu.state().pc, r.prog.symbol("loop").value());
     r.cpu.set_instr_stop(~u64{0});
   }
-  const u64 builds[2] = {rigs[0].cpu.stats().block_builds,
-                         rigs[1].cpu.stats().block_builds};
   const u64 translations = rigs[0].cpu.sbc_stats().translations;
-  ASSERT_GT(translations, 0u) << "the loop never got hot";
+  ASSERT_GT(translations, 0u) << "the loop never ran as a superblock";
   ASSERT_GT(rigs[0].cpu.sbc_stats().mem_native, 0u);
 
   // The other 49 000 iterations decode nothing new but the closing hlt.
@@ -949,23 +1009,17 @@ TEST(CpuDifferential, DataStoreOnCodePageKeepsDecodedBlocks) {
     ASSERT_EQ(r.cpu.run(10'000'000), cpu::RunExit::kHalted);
   }
   EXPECT_EQ(rigs[0].mem.read32(counter), 50000u);
-  EXPECT_EQ(rigs[0].cpu.stats().block_builds, builds[0] + 1);
-  EXPECT_EQ(rigs[1].cpu.stats().block_builds, builds[1] + 1);
-  EXPECT_EQ(rigs[0].cpu.sbc_stats().translations, translations);
-  for (unsigned i = 0; i < 2; ++i) {
-    EXPECT_EQ(rigs[i].cpu.stats().block_invalidations, 0u) << "tier " << i;
-  }
-  for (unsigned i = 0; i < 2; ++i) {
-    const auto& fast = rigs[i].cpu;
-    const auto& ref = rigs[2].cpu;
-    EXPECT_EQ(fast.state().regs, ref.state().regs) << "tier " << i;
-    EXPECT_EQ(fast.state().pc, ref.state().pc) << "tier " << i;
-    EXPECT_EQ(fast.state().psw, ref.state().psw) << "tier " << i;
-    EXPECT_EQ(fast.cycles(), ref.cycles()) << "tier " << i;
-    EXPECT_EQ(fast.stats().instructions, ref.stats().instructions);
-    EXPECT_EQ(fast.stats().mem_accesses, ref.stats().mem_accesses);
-    EXPECT_EQ(dump_mem(rigs[i].mem), dump_mem(rigs[2].mem)) << "tier " << i;
-  }
+  EXPECT_EQ(rigs[0].cpu.sbc_stats().translations, translations + 1);
+  EXPECT_EQ(rigs[0].cpu.sbc_stats().invalidations, 0u);
+  const auto& fast = rigs[0].cpu;
+  const auto& ref = rigs[1].cpu;
+  EXPECT_EQ(fast.state().regs, ref.state().regs);
+  EXPECT_EQ(fast.state().pc, ref.state().pc);
+  EXPECT_EQ(fast.state().psw, ref.state().psw);
+  EXPECT_EQ(fast.cycles(), ref.cycles());
+  EXPECT_EQ(fast.stats().instructions, ref.stats().instructions);
+  EXPECT_EQ(fast.stats().mem_accesses, ref.stats().mem_accesses);
+  EXPECT_EQ(dump_mem(rigs[0].mem), dump_mem(rigs[1].mem));
 }
 
 TEST(CpuDifferential, StoreIntoItsOwnHotBlockTakesEffectAtOnce) {
@@ -975,7 +1029,7 @@ TEST(CpuDifferential, StoreIntoItsOwnHotBlockTakesEffectAtOnce) {
   // `nop` to `addi r2, r2, 1`. The rewritten instruction must run in that
   // very iteration: the store retires the page although it lands past the
   // block's first chunk, and the running superblock resyncs before its next
-  // instruction. Every tier counts 100 increments.
+  // instruction. Both paths count 100 increments.
   Instr patch;
   patch.op = Opcode::kAddI;
   patch.rd = 2;
@@ -1022,30 +1076,27 @@ TEST(CpuDifferential, StoreIntoItsOwnHotBlockTakesEffectAtOnce) {
     });
   };
 
-  std::array<CpuHarness, 3> rigs;  // superblock, block cache, interpreter
+  std::array<CpuHarness, 2> rigs;  // superblock, interpreter
   for (auto& r : rigs) build(r);
   rigs[1].cpu.set_superblocks_enabled(false);
-  rigs[2].cpu.set_block_cache_enabled(false);
   for (auto& r : rigs) {
     ASSERT_EQ(r.cpu.run(10'000'000), cpu::RunExit::kHalted);
     EXPECT_EQ(r.reg(cpu::kR2), 100u);
   }
   EXPECT_GT(rigs[0].cpu.sbc_stats().translations, 0u);
-  for (unsigned i = 0; i < 2; ++i) {
-    EXPECT_EQ(rigs[i].cpu.state().regs, rigs[2].cpu.state().regs);
-    EXPECT_EQ(rigs[i].cpu.cycles(), rigs[2].cpu.cycles()) << "tier " << i;
-    EXPECT_EQ(rigs[i].cpu.stats().instructions,
-              rigs[2].cpu.stats().instructions);
-    EXPECT_EQ(rigs[i].cpu.stats().mem_accesses,
-              rigs[2].cpu.stats().mem_accesses);
-  }
+  EXPECT_EQ(rigs[0].cpu.state().regs, rigs[1].cpu.state().regs);
+  EXPECT_EQ(rigs[0].cpu.cycles(), rigs[1].cpu.cycles());
+  EXPECT_EQ(rigs[0].cpu.stats().instructions,
+            rigs[1].cpu.stats().instructions);
+  EXPECT_EQ(rigs[0].cpu.stats().mem_accesses,
+            rigs[1].cpu.stats().mem_accesses);
 }
 
 TEST(CpuDifferential, FallThroughGenericTailRetiresOnce) {
   // A pure block cut by the 32-instruction decode cap right after a `push`:
   // its tail is a generic op that falls through to the next block. Fast
   // mode batches the body's retires at entry; the tail retires once, in the
-  // generic handler, so every tier counts the same instructions.
+  // generic handler, so both paths count the same instructions.
   auto build = [](CpuHarness& h) {
     h.load([](Assembler& a) {
       a.movi(cpu::kR0, u32{0});
@@ -1062,30 +1113,26 @@ TEST(CpuDifferential, FallThroughGenericTailRetiresOnce) {
     });
   };
 
-  std::array<CpuHarness, 3> rigs;  // superblock, block cache, interpreter
+  std::array<CpuHarness, 2> rigs;  // superblock, interpreter
   for (auto& r : rigs) build(r);
   rigs[1].cpu.set_superblocks_enabled(false);
-  rigs[2].cpu.set_block_cache_enabled(false);
   for (auto& r : rigs) {
     ASSERT_EQ(r.cpu.run(10'000'000), cpu::RunExit::kHalted);
   }
   EXPECT_GT(rigs[0].cpu.sbc_stats().translations, 0u);
-  for (unsigned i = 0; i < 2; ++i) {
-    EXPECT_EQ(rigs[i].cpu.stats().instructions,
-              rigs[2].cpu.stats().instructions)
-        << "tier " << i;
-    EXPECT_EQ(rigs[i].cpu.cycles(), rigs[2].cpu.cycles()) << "tier " << i;
-    EXPECT_EQ(rigs[i].cpu.state().regs, rigs[2].cpu.state().regs);
-  }
+  EXPECT_EQ(rigs[0].cpu.stats().instructions,
+            rigs[1].cpu.stats().instructions);
+  EXPECT_EQ(rigs[0].cpu.cycles(), rigs[1].cpu.cycles());
+  EXPECT_EQ(rigs[0].cpu.state().regs, rigs[1].cpu.state().regs);
 }
 
 TEST(CpuDifferential, PageBoundaryBlockChainsAcrossTheGuard) {
   // A loop whose body straddles a page boundary: the decoder cuts the first
   // block at the 4 KiB edge (a non-terminator tail, SbTail::kFallthrough)
-  // and a second block continues on the next page. Both must be promoted
+  // and a second block continues on the next page. Both must be translated
   // and chained — fall-through edge across the boundary, taken edge back —
   // so the loop runs chain-to-chain, and the whole thing must stay
-  // bit-identical to the slow interpreter.
+  // bit-identical to the reference interpreter.
   auto build = [](CpuHarness& h) {
     h.load([](Assembler& a) {
       a.movi(cpu::kR0, u32{0});
@@ -1104,7 +1151,7 @@ TEST(CpuDifferential, PageBoundaryBlockChainsAcrossTheGuard) {
   CpuHarness super, interp;
   build(super);
   build(interp);
-  interp.cpu.set_block_cache_enabled(false);
+  interp.cpu.set_superblocks_enabled(false);
   ASSERT_EQ(super.cpu.run(100000), cpu::RunExit::kHalted);
   ASSERT_EQ(interp.cpu.run(100000), cpu::RunExit::kHalted);
 
@@ -1115,11 +1162,11 @@ TEST(CpuDifferential, PageBoundaryBlockChainsAcrossTheGuard) {
   EXPECT_EQ(super.cpu.mmu().tlb_hits(), interp.cpu.mmu().tlb_hits());
 
   const auto& sbc = super.cpu.sbc_stats();
-  EXPECT_GE(sbc.translations, 2u) << "both halves must be promoted";
-  // Once both halves are promoted, every iteration follows two chain edges
+  EXPECT_GE(sbc.translations, 2u) << "both halves must be translated";
+  // Once both halves are chained, every iteration follows two chain edges
   // (across the boundary and back); dispatcher entries should be rare.
   EXPECT_GT(sbc.chains, sbc.hits)
-      << "the boundary-cut block did not chain (falls_through not honoured?)";
+      << "the boundary-cut block did not chain (kFallthrough not honoured?)";
 }
 
 TEST(CpuDifferential, GenericTailSelfCallNeverSkipsTheChainGuard) {
@@ -1130,7 +1177,7 @@ TEST(CpuDifferential, GenericTailSelfCallNeverSkipsTheChainGuard) {
   // neutral page and eventually into the code page itself, finally
   // overwriting the call's own immediate. The executor must not apply the
   // pure-body self-chain shortcut here (generic tails clear `fast`): every
-  // re-entry must pass the full version guard, or the tier keeps executing
+  // re-entry must pass the full version guard, or the executor keeps running
   // the stale translation after the pushes start landing on the code page
   // and diverges from the interpreter.
   auto build = [](CpuHarness& h) {
@@ -1144,9 +1191,9 @@ TEST(CpuDifferential, GenericTailSelfCallNeverSkipsTheChainGuard) {
   CpuHarness super, interp;
   build(super);
   build(interp);
-  interp.cpu.set_block_cache_enabled(false);
+  interp.cpu.set_superblocks_enabled(false);
 
-  // One uninterrupted run: the whole descent — promote, self-chain, pushes
+  // One uninterrupted run: the whole descent — translate, self-chain, pushes
   // crossing into the code page, the immediate overwritten — happens without
   // a single return to the dispatcher, so only the executor's own chain
   // guard stands between a stale translation and divergence. (A sliced run
@@ -1190,10 +1237,10 @@ struct DebugEventHook final : cpu::TrapHook {
 
 TEST(CpuDifferential, ArmedBreakpointAndStepRequestMatchAcrossTiers) {
   // The monitor's debug state lives outside guest memory and the PSW: an
-  // armed physical address stops every tier before the instruction there
+  // armed physical address stops both paths before the instruction there
   // is fetched, a resume passes it once, a step request stops after one
   // instruction, and none of it costs guest cycles or changes guest state.
-  // All three tiers must agree at every stop, and a hot, self-chained
+  // Both paths must agree at every stop, and a hot, self-chained
   // superblock must be split at the armed address.
   auto build = [](CpuHarness& h) {
     h.load([](Assembler& a) {
@@ -1209,28 +1256,25 @@ TEST(CpuDifferential, ArmedBreakpointAndStepRequestMatchAcrossTiers) {
   };
   const u32 armed_va = 0x1000 + 3 * cpu::kInstrBytes;  // the second addi
 
-  std::array<CpuHarness, 3> rigs;  // superblock, block cache, interpreter
-  std::array<DebugEventHook, 3> hooks;
-  for (unsigned i = 0; i < 3; ++i) {
+  std::array<CpuHarness, 2> rigs;  // superblock, interpreter
+  std::array<DebugEventHook, 2> hooks;
+  for (unsigned i = 0; i < 2; ++i) {
     build(rigs[i]);
     rigs[i].cpu.set_trap_hook(&hooks[i]);
   }
   rigs[1].cpu.set_superblocks_enabled(false);
-  rigs[2].cpu.set_block_cache_enabled(false);
   auto expect_same = [&](const char* where) {
-    for (unsigned i = 1; i < 3; ++i) {
-      EXPECT_EQ(rigs[i].cpu.state().pc, rigs[0].cpu.state().pc) << where;
-      EXPECT_EQ(rigs[i].cpu.state().psw, rigs[0].cpu.state().psw) << where;
-      EXPECT_EQ(rigs[i].cpu.state().regs, rigs[0].cpu.state().regs) << where;
-      EXPECT_EQ(rigs[i].cpu.cycles(), rigs[0].cpu.cycles()) << where;
-      EXPECT_EQ(rigs[i].cpu.stats().instructions,
-                rigs[0].cpu.stats().instructions)
-          << where;
-      EXPECT_EQ(rigs[i].cpu.stats().mem_accesses,
-                rigs[0].cpu.stats().mem_accesses)
-          << where;
-      EXPECT_EQ(hooks[i].events.size(), hooks[0].events.size()) << where;
-    }
+    EXPECT_EQ(rigs[1].cpu.state().pc, rigs[0].cpu.state().pc) << where;
+    EXPECT_EQ(rigs[1].cpu.state().psw, rigs[0].cpu.state().psw) << where;
+    EXPECT_EQ(rigs[1].cpu.state().regs, rigs[0].cpu.state().regs) << where;
+    EXPECT_EQ(rigs[1].cpu.cycles(), rigs[0].cpu.cycles()) << where;
+    EXPECT_EQ(rigs[1].cpu.stats().instructions,
+              rigs[0].cpu.stats().instructions)
+        << where;
+    EXPECT_EQ(rigs[1].cpu.stats().mem_accesses,
+              rigs[0].cpu.stats().mem_accesses)
+        << where;
+    EXPECT_EQ(hooks[1].events.size(), hooks[0].events.size()) << where;
   };
 
   // Get the loop hot and self-chained before arming.
@@ -1243,7 +1287,7 @@ TEST(CpuDifferential, ArmedBreakpointAndStepRequestMatchAcrossTiers) {
     ASSERT_EQ(r.cpu.run(100000), cpu::RunExit::kStopRequested);
   }
   expect_same("first hit");
-  for (unsigned i = 0; i < 3; ++i) {
+  for (unsigned i = 0; i < 2; ++i) {
     ASSERT_EQ(hooks[i].events.size(), 1u);
     EXPECT_EQ(hooks[i].events[0].vector, cpu::kVecBreakpoint);
     EXPECT_EQ(hooks[i].events[0].kind, cpu::EventKind::kMonitor);
@@ -1281,16 +1325,16 @@ TEST(CpuDifferential, ArmedBreakpointAndStepRequestMatchAcrossTiers) {
   expect_same("halt");
   EXPECT_EQ(rigs[0].reg(cpu::kR0), 100000u);
   EXPECT_EQ(rigs[0].reg(cpu::kR1), 300000u);
-  EXPECT_EQ(dump_mem(rigs[0].mem), dump_mem(rigs[2].mem));
+  EXPECT_EQ(dump_mem(rigs[0].mem), dump_mem(rigs[1].mem));
 }
 
 TEST(CpuDifferential, ArmedWatchpointMatchesAcrossTiers) {
   // A write watch is monitor debug state as well: a store (st32, push or
-  // call) that overlaps the armed range retires, then every tier raises one
+  // call) that overlaps the armed range retires, then each path raises one
   // monitor #DB that resumes at the next instruction, with identical state,
   // counters and hit record. A watch on unwritten bytes of the same page
-  // raises nothing and costs no cycle, and the block tiers keep running
-  // while it is armed.
+  // raises nothing and costs no cycle, and superblocks keep running while
+  // it is armed.
   constexpr u32 kData = 0x8000;      // the st32 target
   constexpr u32 kStackTop = 0x9000;  // push lands at -4, call's return at -8
   constexpr u32 kIters = 20000;
@@ -1314,34 +1358,31 @@ TEST(CpuDifferential, ArmedWatchpointMatchesAcrossTiers) {
     });
   };
 
-  std::array<CpuHarness, 3> rigs;  // superblock, block cache, interpreter
-  std::array<DebugEventHook, 3> hooks;
-  for (unsigned i = 0; i < 3; ++i) {
+  std::array<CpuHarness, 2> rigs;  // superblock, interpreter
+  std::array<DebugEventHook, 2> hooks;
+  for (unsigned i = 0; i < 2; ++i) {
     build(rigs[i]);
     rigs[i].cpu.set_trap_hook(&hooks[i]);
   }
   rigs[1].cpu.set_superblocks_enabled(false);
-  rigs[2].cpu.set_block_cache_enabled(false);
   auto expect_same = [&](const char* where) {
+    EXPECT_EQ(rigs[1].cpu.state().pc, rigs[0].cpu.state().pc) << where;
+    EXPECT_EQ(rigs[1].cpu.state().psw, rigs[0].cpu.state().psw) << where;
+    EXPECT_EQ(rigs[1].cpu.state().regs, rigs[0].cpu.state().regs) << where;
+    EXPECT_EQ(rigs[1].cpu.cycles(), rigs[0].cpu.cycles()) << where;
+    EXPECT_EQ(rigs[1].cpu.stats().instructions,
+              rigs[0].cpu.stats().instructions)
+        << where;
+    EXPECT_EQ(rigs[1].cpu.stats().mem_accesses,
+              rigs[0].cpu.stats().mem_accesses)
+        << where;
+    EXPECT_EQ(hooks[1].events.size(), hooks[0].events.size()) << where;
     const auto& hit0 = rigs[0].cpu.last_watch_hit();
-    for (unsigned i = 1; i < 3; ++i) {
-      EXPECT_EQ(rigs[i].cpu.state().pc, rigs[0].cpu.state().pc) << where;
-      EXPECT_EQ(rigs[i].cpu.state().psw, rigs[0].cpu.state().psw) << where;
-      EXPECT_EQ(rigs[i].cpu.state().regs, rigs[0].cpu.state().regs) << where;
-      EXPECT_EQ(rigs[i].cpu.cycles(), rigs[0].cpu.cycles()) << where;
-      EXPECT_EQ(rigs[i].cpu.stats().instructions,
-                rigs[0].cpu.stats().instructions)
-          << where;
-      EXPECT_EQ(rigs[i].cpu.stats().mem_accesses,
-                rigs[0].cpu.stats().mem_accesses)
-          << where;
-      EXPECT_EQ(hooks[i].events.size(), hooks[0].events.size()) << where;
-      const auto& hit = rigs[i].cpu.last_watch_hit();
-      EXPECT_EQ(hit.va, hit0.va) << where;
-      EXPECT_EQ(hit.value, hit0.value) << where;
-      EXPECT_EQ(hit.size, hit0.size) << where;
-      EXPECT_EQ(hit.pc, hit0.pc) << where;
-    }
+    const auto& hit = rigs[1].cpu.last_watch_hit();
+    EXPECT_EQ(hit.va, hit0.va) << where;
+    EXPECT_EQ(hit.value, hit0.value) << where;
+    EXPECT_EQ(hit.size, hit0.size) << where;
+    EXPECT_EQ(hit.pc, hit0.pc) << where;
   };
 
   // Get the loop hot and chained before arming.
@@ -1382,7 +1423,7 @@ TEST(CpuDifferential, ArmedWatchpointMatchesAcrossTiers) {
     EXPECT_EQ(hit.pc, c.resume_pc) << c.store;
     // Post-write: the stored value is already in memory.
     EXPECT_EQ(rigs[0].mem.read32(c.va), hit.value) << c.store;
-    for (unsigned i = 0; i < 3; ++i) {
+    for (unsigned i = 0; i < 2; ++i) {
       ASSERT_TRUE(rigs[i].cpu.disarm_watchpoint(c.va, 4));
       hooks[i].events.clear();
     }
@@ -1390,12 +1431,11 @@ TEST(CpuDifferential, ArmedWatchpointMatchesAcrossTiers) {
   EXPECT_EQ(rigs[0].mem.read32(kStackTop - 8), after_call);
 
   // Unwritten bytes of the same page: the loop runs out with no event, in
-  // the block tiers, and the earlier stops left no trace in simulated time.
+  // superblocks, and the earlier stops left no trace in simulated time.
   const auto sbc_entries = [&] {
     return rigs[0].cpu.sbc_stats().hits + rigs[0].cpu.sbc_stats().chains;
   };
   const u64 sbc_before = sbc_entries();
-  const u64 blocks_before = rigs[1].cpu.stats().block_hits;
   for (auto& r : rigs) {
     ASSERT_TRUE(r.cpu.arm_watchpoint(kData + 0x800, 4));
     ASSERT_EQ(r.cpu.run(100'000'000), cpu::RunExit::kHalted);
@@ -1403,7 +1443,6 @@ TEST(CpuDifferential, ArmedWatchpointMatchesAcrossTiers) {
   expect_same("halt");
   for (const DebugEventHook& h : hooks) EXPECT_TRUE(h.events.empty());
   EXPECT_GT(sbc_entries(), sbc_before);
-  EXPECT_GT(rigs[1].cpu.stats().block_hits, blocks_before);
   EXPECT_EQ(rigs[0].reg(cpu::kR3), kIters);
 
   CpuHarness plain;  // the same program, never watched

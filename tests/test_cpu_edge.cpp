@@ -306,13 +306,14 @@ TEST(CpuEdge, FetchInLastPartialWordFaultsWithoutOverrun) {
 
   // End to end, on both dispatch paths: no IDT is installed, so the #GP
   // escalates to shutdown — the run must end there, not in an OOB read.
-  for (const bool cache_on : {true, false}) {
+  for (const bool superblocks : {true, false}) {
     cpu::PhysMem m(0x1004);
     ScriptedIoBus io;
     cpu::Cpu c(m, io, nullptr);
-    c.set_block_cache_enabled(cache_on);
+    c.set_superblocks_enabled(superblocks);
     c.state().pc = 0x1000;
-    EXPECT_EQ(RunExit::kShutdown, c.run(1000)) << "cache_on=" << cache_on;
+    EXPECT_EQ(RunExit::kShutdown, c.run(1000))
+        << "superblocks=" << superblocks;
   }
 }
 

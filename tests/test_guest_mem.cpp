@@ -1,7 +1,7 @@
 // GuestMemory (vTLB) tests: translation caching, precise invalidation at
 // every architectural TLB point, all-or-nothing span accesses, the kill
 // switch, and a cached-vs-uncached lockstep differential run of the full
-// debug platform (mirroring the interpreter block-cache differential).
+// debug platform (mirroring the CPU's superblock lockstep fuzz).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -286,8 +286,8 @@ TEST(GuestMemIntegration, MonitorHotPathHitsTranslationCache) {
 
 // ---------------------------------------------------------------------------
 // Differential: cached vs uncached must be bit-identical when the cost
-// model charges walks and hits equally (mirrors the interpreter's
-// block-cache lockstep fuzz).
+// model charges walks and hits equally (mirrors the CPU's superblock
+// lockstep fuzz).
 // ---------------------------------------------------------------------------
 
 TEST(GuestMemDifferential, CachedAndUncachedRunsStayInLockstep) {

@@ -113,7 +113,7 @@ TEST(MetricsRegistry, PlatformRegistersTheWholeStack) {
   ASSERT_EQ(p.machine().run_for(seconds_to_cycles(0.02)), MStop::kBudget);
 
   for (const char* name :
-       {"cpu.core.instructions", "cpu.tlb.hit_rate", "cpu.block.hits",
+       {"cpu.core.instructions", "cpu.tlb.hit_rate", "cpu.sbc.hits",
         "hw.pic.acks", "hw.pit.ticks", "hw.uart.tx_bytes",
         "hw.nic.frames_sent", "hw.scsi0.requests_completed",
         "hw.machine.idle_cycles", "vmm.exit.total", "vmm.vtlb.hit_rate",

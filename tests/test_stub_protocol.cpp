@@ -156,9 +156,6 @@ TEST(StubProtocol, TierQueryTracksKillSwitches) {
   EXPECT_EQ(rig.last_reply(), "superblock");  // the default configuration
   cpu.set_superblocks_enabled(false);
   rig.send_packet("qVdbg.Tier");
-  EXPECT_EQ(rig.last_reply(), "block-cache");
-  cpu.set_block_cache_enabled(false);
-  rig.send_packet("qVdbg.Tier");
   EXPECT_EQ(rig.last_reply(), "interp");
 }
 

@@ -207,7 +207,7 @@ TEST(TimeTravelReplay, SuperblockCacheIsDerivedStateAcrossRestore) {
   ASSERT_EQ(m.run_to_instruction(target, seconds_to_cycles(1.0)),
             MStop::kInstrLimit);
   EXPECT_EQ(tt.save_state(), on_snap)
-      << "superblock replay diverged from the block-cache tier";
+      << "superblock replay diverged from the reference interpreter";
   m.cpu().set_superblocks_enabled(true);
 }
 
@@ -232,7 +232,7 @@ TEST(TimeTravelReplay, ReverseStepiLandsIdenticallyAcrossTiers) {
   const auto landing_super = tt.save_state();
 
   // ...return to the boundary, then reverse again with replay pinned to
-  // the block-cache tier: the landing must be byte-identical.
+  // the reference interpreter: the landing must be byte-identical.
   p->monitor()->resume_guest();
   ASSERT_EQ(m.run_to_instruction(n, seconds_to_cycles(1.0)),
             MStop::kInstrLimit);

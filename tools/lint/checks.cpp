@@ -499,7 +499,6 @@ void check_metric_names(const Repo& repo, std::vector<Diag>& out) {
   static const std::map<std::string, std::string> kFamilyOwner = {
       // cpu: execution tiers, TLB, PC profiler, COW physical memory.
       {"cpu.core", "cpu"},
-      {"cpu.block", "cpu"},
       {"cpu.sbc", "cpu"},
       {"cpu.tlb", "cpu"},
       {"cpu.profile", "cpu"},
