@@ -442,7 +442,8 @@ __attribute__((flatten)) Cpu::SbRun Cpu::exec_superblock(SuperBlock* sb,
   u64 chains_batch = 0;  // chain-taken count, folded into sbc_stats_ on flush
   // Register mirrors of the current fast block's entry constants, captured
   // at fast entry so the proven self-chain re-entry runs without touching
-  // memory. Only read when `fast` is set (they go stale on slow entries).
+  // memory; leave_fast takes part of the batch back with them. Only read
+  // when `fast` is set (they go stale on slow entries).
   const SbInstr* f_begin = nullptr;
   Cycles f_worst = 0;
   Cycles f_charge = 0;
@@ -488,6 +489,25 @@ __attribute__((flatten)) Cpu::SbRun Cpu::exec_superblock(SuperBlock* sb,
     }
     return mmu_.data_recheck(va, cpl, write, size, dpa);
   };
+  // Instructions after the current one in its block, set by SB_MEM_EXIT.
+  u32 unrun = 0;
+  // Leaves fast mode at the current load or store: takes back the batched
+  // charges of the `unrun` instructions after it, which have not run, so
+  // every local equals what the slow path holds at this boundary, and loads
+  // the slow path's guard locals, which a fast entry skips. pa needs no
+  // setting: pure blocks do not track it, the generic path derives it from
+  // ip, and a store that retired this page resyncs before using it.
+  const auto leave_fast = [&] {
+    cyc -= Cycles(unrun) * fetch_cost;
+    memacc -= unrun;
+    icount -= f_icount - (f_n - 1u - unrun);
+    if (paged) tlb_pending -= unrun;
+    pc -= unrun * kInstrBytes;
+    fast = false;
+    pure = true;
+    version_ptr = sb->version_ptr;
+    version = sb->version;
+  };
 
 enter_block:
   // Entry accounting identical to the reference fetch in step_at; the entry
@@ -497,15 +517,19 @@ enter_block:
   end = ip + sb->count;
   entry_va = pc;
   // Fast mode: a pure block's per-instruction charges are all known at
-  // translation (count fetches, mul_count multiplies, at most one taken
-  // branch — precomputed into fast_worst/fast_charge), so if even the
-  // worst-case total stays under both budgets, no boundary check inside
-  // this block can fire — the checks are pure reads of monotonically
-  // increasing counters. Batch every per-instruction charge up front and
-  // run the body with nothing but ++ip between handlers. Native handlers
-  // cannot fault and nothing observes pc/cyc/icount before the tail, so the
-  // flushed state at every possible exit is bit-identical to slow mode.
-  // Impure blocks carry fast_worst = kNoFast, failing the first compare.
+  // translation (count fetches, its multiplies and native loads and
+  // stores, at most one taken branch — precomputed into fast_worst/
+  // fast_charge), so if even the worst-case total stays under both budgets,
+  // no boundary check inside this block can fire — the checks are pure
+  // reads of monotonically increasing counters. Batch the fetch charges,
+  // retires and proven fetch hits up front and run the body with nothing
+  // but ++ip between handlers; a native load or store still charges its own
+  // access. ALU handlers cannot fault and nothing observes pc/cyc/icount
+  // before the tail. The only mid-block exits are a load or store that
+  // falls back to the generic handler and a native store that retires this
+  // block's own page; both call leave_fast first, so the state they go on
+  // with, and any state they flush, is bit-identical to slow mode. Impure
+  // blocks carry fast_worst = kNoFast, failing the first compare.
   {
     f_worst = sb->fast_worst;
     const Cycles worst = cyc + f_worst;
@@ -840,14 +864,26 @@ dispatch_loop:
   // it and goes straight to PhysMem, whose stores keep the COW and code-
   // retirement behaviour of the reference path. Anything else — misaligned,
   // TLB miss, permission fault, D bit still clear, out of range, or a store
-  // while a watch is armed — reaches the generic handler untouched, which
-  // produces the reference accounting and fault. A store that retired this
-  // block's own page ends its purity, so the next boundary resyncs.
+  // while a watch is armed — reaches the generic handler untouched (leaving
+  // fast mode at mem_fallback), which produces the reference accounting and
+  // fault. A store that retired this block's own page goes on at
+  // store_retired_page. The fast-mode locals `version_ptr`/`version` are
+  // stale, so the store reads the block's own.
+
+// Mid-block exit of a load or store. It counts the instructions after this
+// one here, where ip is live anyway: reading ip at the exit labels instead
+// made GCC allocate every handler's dispatch sequence worse (bench_interp's
+// ALU loop ran about 9 % slower, GCC 12 on x86-64).
+#define SB_MEM_EXIT(label)                                                   \
+  do {                                                                       \
+    unrun = u32(end - ip) - 1u;                                              \
+    goto label;                                                              \
+  } while (0)
 #define SB_LOAD(name, size, read)                                            \
   SB_CASE(name) {                                                            \
     const VAddr ea = regs[ip->rs1 & (kNumGprs - 1)] + ip->imm;               \
     PAddr dpa = 0;                                                           \
-    if (!data_hit(ea, size, false, dpa)) goto mem_fallback;                  \
+    if (!data_hit(ea, size, false, dpa)) SB_MEM_EXIT(mem_fallback);          \
     cyc += mem_cost;                                                         \
     ++memacc;                                                                \
     ++sbc_stats_.mem_native;                                                 \
@@ -859,13 +895,13 @@ dispatch_loop:
     const VAddr ea = regs[ip->rs1 & (kNumGprs - 1)] + ip->imm;               \
     PAddr dpa = 0;                                                           \
     if (!watches_.empty() || !data_hit(ea, size, true, dpa)) {               \
-      goto mem_fallback;                                                     \
+      SB_MEM_EXIT(mem_fallback);                                             \
     }                                                                        \
     cyc += mem_cost;                                                         \
     ++memacc;                                                                \
     ++sbc_stats_.mem_native;                                                 \
     mem_.write(dpa, static_cast<type>(regs[ip->rs2 & (kNumGprs - 1)]));      \
-    if (*version_ptr != version) pure = false;                               \
+    if (*sb->version_ptr != sb->version) SB_MEM_EXIT(store_retired_page);    \
     SB_NEXT();                                                               \
   }
 
@@ -875,6 +911,7 @@ dispatch_loop:
   SB_STORE(St8, 1, write8, u8)
   SB_STORE(St16, 2, write16, u16)
   SB_STORE(St32, 4, write32, u32)
+#undef SB_MEM_EXIT
 #undef SB_LOAD
 #undef SB_STORE
 
@@ -1067,7 +1104,15 @@ dispatch_loop:
 
 mem_fallback:
   ++sbc_stats_.mem_fallbacks;
+  if (fast) leave_fast();
   goto generic_op;
+
+store_retired_page:
+  // A native store just retired this block's own page: its purity ends,
+  // and its boundary runs in slow mode, which resyncs.
+  if (fast) leave_fast();
+  pure = false;
+  goto next_instr;
 
 next_instr:
   // Slow-mode boundary (SB_NEXT routes here only when !fast): tail check,
@@ -1130,14 +1175,17 @@ tail_chain:
     if (t == nullptr) goto out_request_chain;
     if (t == sb && fast && pc == entry_va) {
       // Proven self-chain (the tight-loop case): this block just ran in
-      // fast mode, so its body was all-native — since this iteration's own
-      // entry guard validated (entry_va -> pa, page version, TLB entry,
-      // validity), nothing has executed that could write memory, touch the
-      // TLB or invalidate a block (a generic tail clears `fast`). With
-      // pc == entry_va the next entry is the very same fetch, so the full
-      // guard would provably succeed with a TLB hit; charge that hit and
-      // re-enter from the captured register constants. Same argument as
-      // count_proven_fetch_hits, extended around the back edge.
+      // fast mode, so its body was all-native and every load and store in
+      // it hit the TLB — a fill or fallback leaves fast mode. Since this
+      // iteration's own entry guard validated (entry_va -> pa, page
+      // version, TLB entry, validity), nothing has executed that could
+      // touch the TLB, invalidate a block or retire a decoded chunk of this
+      // block's page (such a store leaves fast mode; a generic tail clears
+      // `fast` too). With pc == entry_va the next entry is the very same
+      // fetch, so the full guard would provably succeed with a TLB hit;
+      // charge that hit and re-enter from the captured register constants.
+      // Same argument as count_proven_fetch_hits, extended around the back
+      // edge.
       tlb_pending += paged ? 1u : 0u;
       ++chains_batch;
       const Cycles worst = cyc + f_worst;

@@ -111,8 +111,11 @@ SbClass fused_cmp_jcc(SbClass cmp, SbClass jcc) {
 /// Are instruction i's flag writes dead within the block? Dead iff a later
 /// instruction overwrites all flags with only flag-transparent natives in
 /// between; any branch (reads), generic (unknown) or the block end keeps
-/// them live. Used only for fast-mode dispatch, where no exit can observe
-/// the PSW between instruction i and the overwriting instruction.
+/// them live. Used only for fast-mode dispatch. A load or store is the one
+/// place a block can leave fast mode mid-block (a fallback to the generic
+/// handler, which may fault and push the PSW, or a store that retires the
+/// block's own page), so it counts as a flag reader here: it is not
+/// flag-transparent, and no flag write is ever elided across it.
 bool flags_dead_at(const SuperBlock& b, u16 i) {
   if (!writes_all_flags(b.instrs[i].cls)) return false;
   for (u16 j = i + 1; j < b.count; ++j) {
@@ -184,7 +187,7 @@ SuperBlock* SuperblockCache::translate(PAddr pa, PhysMem& mem,
   // block the fetch translation provably cannot change. The code page's
   // version can, through a native store; that store clears the executor's
   // purity on the spot, and a memory op that falls back to kGeneric
-  // revalidates like any generic op.
+  // revalidates like any generic op. Either one first leaves fast mode.
   bool pure = true;
   for (u16 i = 0; i + 1 < n; ++i) {
     if (slot.instrs[i].cls == SbClass::kGeneric) {
@@ -194,18 +197,17 @@ SuperBlock* SuperblockCache::translate(PAddr pa, PhysMem& mem,
   }
   slot.pure = pure;
   u16 muls = 0;
-  bool mem_ops = false;
+  u16 mem_ops = 0;
   for (u16 i = 0; i < n; ++i) {
     const SbClass c = slot.instrs[i].cls;
     if (c == SbClass::kMul || c == SbClass::kMulI) ++muls;
-    if (c >= SbClass::kLd8 && c <= SbClass::kSt32) mem_ops = true;
+    if (c >= SbClass::kLd8 && c <= SbClass::kSt32) ++mem_ops;
   }
-  slot.mul_count = muls;
   slot.fast_charge = Cycles(n) * (costs.mem + costs.base);
-  slot.fast_worst = pure && !mem_ops ? slot.fast_charge +
-                                           Cycles(muls) * costs.mul +
-                                           costs.branch_taken
-                                     : SuperBlock::kNoFast;
+  slot.fast_worst = pure ? slot.fast_charge + Cycles(muls) * costs.mul +
+                               Cycles(mem_ops) * costs.mem +
+                               costs.branch_taken
+                         : SuperBlock::kNoFast;
   slot.fast_pc_step = u32(n - 1) * kInstrBytes;
   // A native fall-through tail retires in the batch; a generic one (a
   // non-terminator cut by the page edge, the decode cap or an undecodable

@@ -111,8 +111,9 @@ enum class SbClass : u8 {
   // Flag-elided twins used only via SbInstr::fast_handler: identical
   // arithmetic with the PSW update removed. Translation assigns one when a
   // later in-block instruction overwrites all four flags before any possible
-  // reader, so in fast mode (no mid-block exits, nothing can observe the
-  // intermediate PSW) skipping the update is architecturally invisible. A
+  // reader. Fast mode leaves a block early only at a load or store, and the
+  // liveness scan counts those as readers, so nothing can observe the
+  // intermediate PSW and skipping the update is architecturally invisible. A
   // dead kCmp/kCmpI elides to kNop outright — flags are its only effect.
   kAddNf,
   kSubNf,
@@ -202,28 +203,25 @@ struct SuperBlock {
   bool valid = false;
   /// True when every non-tail instruction has a native handler: the
   /// executor may elide the per-instruction version poll + fetch recheck
-  /// and charge the proven TLB hits in bulk. Native handlers never touch the
-  /// TLB or call out; a native store that retires this block's own page
-  /// clears the executor's copy of the flag, and a memory op that falls back
-  /// to the generic path revalidates at its boundary. Impure blocks
-  /// revalidate the fetch at every boundary, as the reference path does.
+  /// and charge the proven TLB hits in bulk, and may take the batched fast
+  /// entry. Native handlers never touch the TLB or call out; a native store
+  /// that retires this block's own page clears the executor's copy of the
+  /// flag, and a memory op that falls back to the generic path revalidates
+  /// at its boundary (both leave fast mode first). Impure blocks revalidate
+  /// the fetch at every boundary, as the reference path does.
   bool pure = false;
-  /// Number of kMul/kMulI instructions (they charge costs_.mul on top of the
-  /// fetch cost). With it, a pure block's worst-case cycle charge is a
-  /// translation-time constant: count*fetch + mul_count*mul + one branch.
-  /// The executor uses that bound to prove no mid-block budget check can
-  /// fire and batch all per-instruction accounting at block entry.
-  u16 mul_count = 0;
   /// Fast-entry constants, precomputed at translation so the executor's
   /// block entry is two compares and a handful of adds (see enter_block in
   /// Cpu::exec_superblock for the batching argument):
   /// total fetch charge for the whole block (count * (mem + base)).
   Cycles fast_charge = 0;
-  /// Worst-case cycle charge of one full execution: fast_charge plus every
-  /// multiply plus one taken branch. kNoFast for impure blocks and for
-  /// blocks with a load or store (which may fall back or fault mid-block),
-  /// so the executor's `cycles + fast_worst < stop` test fails naturally and
-  /// folds both checks into the budget check.
+  /// Worst-case cycle charge of one full execution, a translation-time
+  /// constant for a pure block: fast_charge plus costs.mul per kMul/kMulI,
+  /// costs.mem per load or store, and one taken branch. The executor uses
+  /// it to prove no mid-block budget check can fire and batch the fetch
+  /// accounting at block entry. kNoFast for impure blocks, so the
+  /// executor's `cycles + fast_worst < stop` test fails naturally and folds
+  /// both checks into the budget check.
   Cycles fast_worst = kNoFast;
   static constexpr Cycles kNoFast = ~Cycles{0} / 2;
   u32 fast_pc_step = 0;   // (count-1)*8: parks pc on the tail instruction

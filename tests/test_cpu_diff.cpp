@@ -15,13 +15,15 @@
 //    load/store-heavy mix that reaches every fallback of the superblocks'
 //    native loads and stores.
 //  * Directed superblock cases: cold blocks translated on first dispatch,
-//    chain requests across a recycled cache slot, chain unchaining under
-//    self-modifying code and breakpoint patching, data stores beside hot
-//    code that must not retire it, a hot block's store into its own later
-//    instruction, a generic fall-through tail, chaining across a
-//    page-boundary block cut, the generic-tail self-chain guard, and the
-//    monitor's armed breakpoints, step requests and write watchpoints on
-//    both paths.
+//    a fast-mode memory block whose store misses the TLB mid-block or
+//    whose load faults after a flag write, budgets and instruction stops
+//    inside a memory block, chain requests across a recycled cache slot,
+//    chain unchaining under self-modifying code and breakpoint patching,
+//    data stores beside hot code that must not retire it, a hot block's
+//    store into its own later instruction, a generic fall-through tail,
+//    chaining across a page-boundary block cut, the generic-tail self-chain
+//    guard, and the monitor's armed breakpoints, step requests and write
+//    watchpoints on both paths.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -676,6 +678,168 @@ TEST(CpuDifferential, PagedMemoryLockstepFuzz) {
   EXPECT_GT(mem_native, 0u) << "no load or store ran natively";
   EXPECT_GT(mem_fallbacks, 0u) << "no load or store fell back";
   EXPECT_GT(total_invals, 0u) << "no store retired a decoded block";
+}
+
+/// Loads `prog` (based at 0x1000) into both rigs and starts them at its
+/// base at ring 0 with paging on, over the paged fuzz's page table plus a
+/// supervisor vpn 0 for emit_test_idt's trap record.
+void start_paged_ring0(LockstepRigs& t, const Program& prog) {
+  for (DiffRig* r : t.all()) {
+    prog.load(r->mem);
+    map_fuzz_pages(r->mem);
+    r->mem.write32(kPtPhys, cpu::Pte::make(0, true, false));
+    auto& st = r->cpu.state();
+    st.pc = 0x1000;
+    st.regs[cpu::kSp] = kKernelStackTop;
+    st.cr[cpu::kCr0] = cpu::kCr0PgBit;
+    st.cr[cpu::kCr3] = kPdPhys;
+  }
+}
+
+TEST(CpuDifferential, FastMemoryBlockTlbMissMidBlockMatches) {
+  // A hot, pure memory block runs in fast mode, with its fetch charges,
+  // retires and proven fetch TLB hits batched at entry. On odd iterations
+  // its store, the second of its three memory ops, goes to vpn 0x41, which
+  // shares the code page's slot in the direct-mapped TLB: the store misses,
+  // falls back to the generic handler mid-block, and its fill evicts the
+  // code page, so the next instruction resyncs. The executor must first
+  // take back the batched charges of the five instructions after the
+  // store, the proven fetch hits included, to stay bit-identical to the
+  // interpreter.
+  Assembler a(0x1000);
+  a.movi(cpu::kR0, u32{0});
+  a.movi(cpu::kR4, u32{0});
+  a.movi(cpu::kR6, u32{0x10000});
+  a.jmp(l("loop"));
+  a.label("loop");
+  a.andi(cpu::kR2, cpu::kR0, u32{1});
+  a.muli(cpu::kR2, cpu::kR2, u32{0x41000 - 0x10000});
+  a.add(cpu::kR2, cpu::kR2, cpu::kR6);  // vpn 0x10, or 0x41 when r0 is odd
+  a.ld32(cpu::kR1, cpu::kR6, 0);
+  a.addi(cpu::kR1, cpu::kR1, u32{3});
+  a.st32(cpu::kR2, 0x80, cpu::kR1);
+  a.ld32(cpu::kR3, cpu::kR6, 4);
+  a.add(cpu::kR4, cpu::kR4, cpu::kR3);
+  a.addi(cpu::kR0, cpu::kR0, u32{1});
+  a.cmpi(cpu::kR0, u32{64});
+  a.jnz(l("loop"));
+  a.hlt();
+  auto prog = a.finalize();
+
+  LockstepRigs t;
+  start_paged_ring0(t, prog);
+  for (DiffRig* r : t.all()) {
+    ASSERT_EQ(r->cpu.run(1'000'000), cpu::RunExit::kHalted);
+  }
+  expect_rigs_identical(t.interp, t.super, 0, 0);
+  EXPECT_EQ(dump_mem(t.interp.mem), dump_mem(t.super.mem));
+  EXPECT_EQ(t.super.mem.read32(0x20080), 3u) << "vpn 0x41 (frame 0x20)";
+  const auto& sbc = t.super.cpu.sbc_stats();
+  EXPECT_GE(sbc.mem_fallbacks, 32u) << "the odd-iteration store never missed";
+  EXPECT_GT(sbc.mem_native, 64u) << "the block never ran natively";
+  EXPECT_GT(sbc.chains, 0u) << "the loop never chained";
+}
+
+TEST(CpuDifferential, FastMemoryBlockFaultPushesTheLivePsw) {
+  // The loop's first instruction sets all four flags and its load, right
+  // after it, walks one page further each iteration until it meets vpn
+  // 0x14, which is not present. The #PF is raised from fast mode, through
+  // the load's fallback. The flags must not have been elided past the
+  // load: the PSW in the exception frame is the addi's (all clear), not
+  // the previous iteration's compare (N and C set).
+  Assembler a(0x1000);
+  a.movi(cpu::kR0, l("idt"));
+  a.lidt(cpu::kR0, 64);
+  a.movi(cpu::kR0, u32{0});
+  a.movi(cpu::kR2, u32{0xf000});
+  a.jmp(l("loop"));
+  a.label("loop");
+  a.addi(cpu::kR2, cpu::kR2, u32{0x1000});
+  a.label("load");
+  a.ld32(cpu::kR1, cpu::kR2, 0);
+  a.addi(cpu::kR0, cpu::kR0, u32{1});
+  a.cmpi(cpu::kR0, u32{100});
+  a.jnz(l("loop"));
+  a.hlt();
+  emit_test_idt(a);
+  auto prog = a.finalize();
+
+  LockstepRigs t;
+  start_paged_ring0(t, prog);
+  for (DiffRig* r : t.all()) {
+    ASSERT_EQ(r->cpu.run(1'000'000), cpu::RunExit::kHalted);
+  }
+  expect_rigs_identical(t.interp, t.super, 0, 0);
+  EXPECT_EQ(dump_mem(t.interp.mem), dump_mem(t.super.mem));
+  const auto rec = read_trap_record(t.super.mem);
+  const auto ref = read_trap_record(t.interp.mem);
+  EXPECT_EQ(rec.vector, u32{cpu::kVecPf});
+  EXPECT_EQ(rec.pc, prog.symbol("load").value());
+  EXPECT_EQ(rec.psw & cpu::Psw::kFlagsMask, 0u);
+  EXPECT_EQ(rec.vector, ref.vector);
+  EXPECT_EQ(rec.err, ref.err);
+  EXPECT_EQ(rec.pc, ref.pc);
+  EXPECT_EQ(rec.psw, ref.psw);
+  EXPECT_EQ(rec.sp, ref.sp);
+  EXPECT_EQ(t.super.cpu.state().regs[cpu::kR2], 0x14000u);
+  EXPECT_GT(t.super.cpu.sbc_stats().chains, 0u) << "the loop never chained";
+}
+
+TEST(CpuDifferential, BudgetAndInstrStopInsideAMemoryBlockMatch) {
+  // A hot loop block of eight instructions, four of them loads and stores.
+  // Runs whose cycle budget or instruction stop ends inside it must refuse
+  // the fast entry (its worst case counts every access's charge) and stop
+  // in slow mode at the same instruction as the interpreter: every budget
+  // from 1 to 80 cycles, then every instruction stop up to ten ahead.
+  auto build = [](CpuHarness& h) {
+    h.load([](Assembler& a) {
+      a.movi(cpu::kR0, u32{0});
+      a.movi(cpu::kR2, u32{0x8000});
+      a.jmp(l("loop"));
+      a.label("loop");
+      a.ld32(cpu::kR1, cpu::kR2, 0);
+      a.addi(cpu::kR1, cpu::kR1, u32{5});
+      a.st32(cpu::kR2, 4, cpu::kR1);
+      a.ld32(cpu::kR3, cpu::kR2, 4);
+      a.st32(cpu::kR2, 0, cpu::kR3);
+      a.addi(cpu::kR0, cpu::kR0, u32{1});
+      a.cmpi(cpu::kR0, u32{1'000'000});
+      a.jnz(l("loop"));
+      a.hlt();
+    });
+  };
+  std::array<CpuHarness, 2> rigs;  // superblock, interpreter
+  for (auto& r : rigs) build(r);
+  rigs[1].cpu.set_superblocks_enabled(false);
+  auto expect_same = [&](const std::string& where) {
+    const cpu::Cpu& fast = rigs[0].cpu;
+    const cpu::Cpu& ref = rigs[1].cpu;
+    ASSERT_EQ(fast.state().pc, ref.state().pc) << where;
+    ASSERT_EQ(fast.state().psw, ref.state().psw) << where;
+    ASSERT_EQ(fast.state().regs, ref.state().regs) << where;
+    ASSERT_EQ(fast.cycles(), ref.cycles()) << where;
+    ASSERT_EQ(fast.stats().instructions, ref.stats().instructions) << where;
+    ASSERT_EQ(fast.stats().mem_accesses, ref.stats().mem_accesses) << where;
+  };
+
+  for (auto& r : rigs) ASSERT_EQ(r.cpu.run(1000), cpu::RunExit::kBudget);
+  ASSERT_GT(rigs[0].cpu.sbc_stats().chains, 0u);
+  expect_same("warm");
+  for (Cycles budget = 1; budget <= 80; ++budget) {
+    for (auto& r : rigs) ASSERT_EQ(r.cpu.run(budget), cpu::RunExit::kBudget);
+    expect_same("budget " + std::to_string(budget));
+  }
+  for (u64 ahead = 1; ahead <= 10; ++ahead) {
+    for (auto& r : rigs) {
+      r.cpu.set_instr_stop(r.cpu.stats().instructions + ahead);
+      ASSERT_EQ(r.cpu.run(1'000'000), cpu::RunExit::kInstrLimit);
+      r.cpu.set_instr_stop(~u64{0});
+    }
+    expect_same("instr stop " + std::to_string(ahead));
+  }
+  for (auto& r : rigs) ASSERT_EQ(r.cpu.run(1000), cpu::RunExit::kBudget);
+  expect_same("after");
+  EXPECT_EQ(dump_mem(rigs[0].mem), dump_mem(rigs[1].mem));
 }
 
 TEST(CpuDifferential, ColdBlocksRunAsSuperblocks) {
@@ -1334,125 +1498,157 @@ TEST(CpuDifferential, ArmedWatchpointMatchesAcrossTiers) {
   // monitor #DB that resumes at the next instruction, with identical state,
   // counters and hit record. A watch on unwritten bytes of the same page
   // raises nothing and costs no cycle, and superblocks keep running while
-  // it is armed.
-  constexpr u32 kData = 0x8000;      // the st32 target
-  constexpr u32 kStackTop = 0x9000;  // push lands at -4, call's return at -8
+  // it is armed. Two loops: one with stack traffic, and a pure one of native
+  // loads and stores that runs in fast mode, so that with a watch armed its
+  // st32 falls back from fast mode in the middle of the block.
+  static constexpr u32 kData = 0x8000;      // the st32 target
+  static constexpr u32 kStackTop = 0x9000;  // push at -4, call's return at -8
   constexpr u32 kIters = 20000;
-  auto build = [](CpuHarness& h) {
-    h.load([](Assembler& a) {
-      a.movi(cpu::kR0, u32{0});
-      a.movi(cpu::kR2, u32{kData});
-      a.movi(cpu::kSp, u32{kStackTop});
-      a.label("loop");
-      a.addi(cpu::kR0, cpu::kR0, u32{1});
-      a.st32(cpu::kR2, 0, cpu::kR0);
-      a.push(cpu::kR0);
-      a.call(l("sub"));
-      a.pop(cpu::kR1);
-      a.cmpi(cpu::kR0, u32{kIters});
-      a.jnz(l("loop"));
-      a.hlt();
-      a.label("sub");
-      a.addi(cpu::kR3, cpu::kR3, u32{1});
-      a.ret();
-    });
-  };
-
-  std::array<CpuHarness, 2> rigs;  // superblock, interpreter
-  std::array<DebugEventHook, 2> hooks;
-  for (unsigned i = 0; i < 2; ++i) {
-    build(rigs[i]);
-    rigs[i].cpu.set_trap_hook(&hooks[i]);
-  }
-  rigs[1].cpu.set_superblocks_enabled(false);
-  auto expect_same = [&](const char* where) {
-    EXPECT_EQ(rigs[1].cpu.state().pc, rigs[0].cpu.state().pc) << where;
-    EXPECT_EQ(rigs[1].cpu.state().psw, rigs[0].cpu.state().psw) << where;
-    EXPECT_EQ(rigs[1].cpu.state().regs, rigs[0].cpu.state().regs) << where;
-    EXPECT_EQ(rigs[1].cpu.cycles(), rigs[0].cpu.cycles()) << where;
-    EXPECT_EQ(rigs[1].cpu.stats().instructions,
-              rigs[0].cpu.stats().instructions)
-        << where;
-    EXPECT_EQ(rigs[1].cpu.stats().mem_accesses,
-              rigs[0].cpu.stats().mem_accesses)
-        << where;
-    EXPECT_EQ(hooks[1].events.size(), hooks[0].events.size()) << where;
-    const auto& hit0 = rigs[0].cpu.last_watch_hit();
-    const auto& hit = rigs[1].cpu.last_watch_hit();
-    EXPECT_EQ(hit.va, hit0.va) << where;
-    EXPECT_EQ(hit.value, hit0.value) << where;
-    EXPECT_EQ(hit.size, hit0.size) << where;
-    EXPECT_EQ(hit.pc, hit0.pc) << where;
-  };
-
-  // Get the loop hot and chained before arming.
-  for (auto& r : rigs) ASSERT_EQ(r.cpu.run(3000), cpu::RunExit::kBudget);
-  ASSERT_GT(rigs[0].cpu.sbc_stats().chains, 0u);
-  expect_same("warm");
-
-  const u32 loop = rigs[0].prog.symbol("loop").value();
-  const u32 sub = rigs[0].prog.symbol("sub").value();
-  const u32 after_call = loop + 4 * cpu::kInstrBytes;  // the pop
   struct Case {
     const char* store;
     VAddr va;       // the word it writes
     u32 resume_pc;  // where its hit stops
   };
-  // In this order each hit is reached by running on from the previous one.
-  const Case cases[] = {
-      {"st32", kData, loop + 2 * cpu::kInstrBytes},  // stops at the push
-      {"call", kStackTop - 8, sub},                  // stops at the target
-      {"push", kStackTop - 4, loop + 3 * cpu::kInstrBytes},  // at the call
+  struct Input {
+    void (*body)(Assembler&);  // the loop body after `addi r0, r0, 1`
+    // In this order each hit is reached by running on from the previous one.
+    std::vector<Case> (*cases)(const Program&);
+    u32 (*ret_word)(const Program&);  // the call's return address, or 0
   };
-  for (const Case& c : cases) {
-    for (auto& r : rigs) {
-      ASSERT_TRUE(r.cpu.arm_watchpoint(c.va, 4));
-      ASSERT_EQ(r.cpu.run(100000), cpu::RunExit::kStopRequested) << c.store;
-    }
-    expect_same(c.store);
-    for (const DebugEventHook& h : hooks) {
-      ASSERT_EQ(h.events.size(), 1u) << c.store;
-      EXPECT_EQ(h.events[0].vector, cpu::kVecDebug) << c.store;
-      EXPECT_EQ(h.events[0].kind, cpu::EventKind::kMonitor) << c.store;
-      EXPECT_EQ(h.events[0].errcode, cpu::kDbWatchHit) << c.store;
-      EXPECT_EQ(h.events[0].pc, c.resume_pc) << c.store;
-    }
-    const auto& hit = rigs[0].cpu.last_watch_hit();
-    EXPECT_EQ(hit.va, c.va) << c.store;
-    EXPECT_EQ(hit.size, 4u) << c.store;
-    EXPECT_EQ(hit.pc, c.resume_pc) << c.store;
-    // Post-write: the stored value is already in memory.
-    EXPECT_EQ(rigs[0].mem.read32(c.va), hit.value) << c.store;
+  const Input inputs[] = {
+      {[](Assembler& a) {
+         a.st32(cpu::kR2, 0, cpu::kR0);
+         a.push(cpu::kR0);
+         a.call(l("sub"));
+         a.pop(cpu::kR1);
+       },
+       [](const Program& p) {
+         const u32 loop = p.symbol("loop").value();
+         return std::vector<Case>{
+             {"st32", kData, loop + 2 * cpu::kInstrBytes},  // at the push
+             {"call", kStackTop - 8, p.symbol("sub").value()},
+             {"push", kStackTop - 4, loop + 3 * cpu::kInstrBytes},  // at call
+         };
+       },
+       [](const Program& p) {
+         return p.symbol("loop").value() + 4 * cpu::kInstrBytes;  // the pop
+       }},
+      {[](Assembler& a) {
+         a.st32(cpu::kR2, 0, cpu::kR0);
+         a.ld32(cpu::kR1, cpu::kR2, 0);
+         a.addi(cpu::kR3, cpu::kR3, u32{1});
+       },
+       [](const Program& p) {
+         return std::vector<Case>{
+             {"pure st32", kData,
+              p.symbol("loop").value() + 2 * cpu::kInstrBytes},  // at the ld32
+         };
+       },
+       [](const Program&) { return 0u; }},
+  };
+
+  for (const Input& in : inputs) {
+    auto build = [&](CpuHarness& h) {
+      h.load([&](Assembler& a) {
+        a.movi(cpu::kR0, u32{0});
+        a.movi(cpu::kR2, u32{kData});
+        a.movi(cpu::kSp, u32{kStackTop});
+        a.label("loop");
+        a.addi(cpu::kR0, cpu::kR0, u32{1});
+        in.body(a);
+        a.cmpi(cpu::kR0, u32{kIters});
+        a.jnz(l("loop"));
+        a.hlt();
+        a.label("sub");
+        a.addi(cpu::kR3, cpu::kR3, u32{1});
+        a.ret();
+      });
+    };
+
+    std::array<CpuHarness, 2> rigs;  // superblock, interpreter
+    std::array<DebugEventHook, 2> hooks;
     for (unsigned i = 0; i < 2; ++i) {
-      ASSERT_TRUE(rigs[i].cpu.disarm_watchpoint(c.va, 4));
-      hooks[i].events.clear();
+      build(rigs[i]);
+      rigs[i].cpu.set_trap_hook(&hooks[i]);
     }
-  }
-  EXPECT_EQ(rigs[0].mem.read32(kStackTop - 8), after_call);
+    rigs[1].cpu.set_superblocks_enabled(false);
+    auto expect_same = [&](const char* where) {
+      EXPECT_EQ(rigs[1].cpu.state().pc, rigs[0].cpu.state().pc) << where;
+      EXPECT_EQ(rigs[1].cpu.state().psw, rigs[0].cpu.state().psw) << where;
+      EXPECT_EQ(rigs[1].cpu.state().regs, rigs[0].cpu.state().regs) << where;
+      EXPECT_EQ(rigs[1].cpu.cycles(), rigs[0].cpu.cycles()) << where;
+      EXPECT_EQ(rigs[1].cpu.stats().instructions,
+                rigs[0].cpu.stats().instructions)
+          << where;
+      EXPECT_EQ(rigs[1].cpu.stats().mem_accesses,
+                rigs[0].cpu.stats().mem_accesses)
+          << where;
+      EXPECT_EQ(hooks[1].events.size(), hooks[0].events.size()) << where;
+      const auto& hit0 = rigs[0].cpu.last_watch_hit();
+      const auto& hit = rigs[1].cpu.last_watch_hit();
+      EXPECT_EQ(hit.va, hit0.va) << where;
+      EXPECT_EQ(hit.value, hit0.value) << where;
+      EXPECT_EQ(hit.size, hit0.size) << where;
+      EXPECT_EQ(hit.pc, hit0.pc) << where;
+    };
 
-  // Unwritten bytes of the same page: the loop runs out with no event, in
-  // superblocks, and the earlier stops left no trace in simulated time.
-  const auto sbc_entries = [&] {
-    return rigs[0].cpu.sbc_stats().hits + rigs[0].cpu.sbc_stats().chains;
-  };
-  const u64 sbc_before = sbc_entries();
-  for (auto& r : rigs) {
-    ASSERT_TRUE(r.cpu.arm_watchpoint(kData + 0x800, 4));
-    ASSERT_EQ(r.cpu.run(100'000'000), cpu::RunExit::kHalted);
-  }
-  expect_same("halt");
-  for (const DebugEventHook& h : hooks) EXPECT_TRUE(h.events.empty());
-  EXPECT_GT(sbc_entries(), sbc_before);
-  EXPECT_EQ(rigs[0].reg(cpu::kR3), kIters);
+    // Get the loop hot and chained before arming.
+    for (auto& r : rigs) ASSERT_EQ(r.cpu.run(3000), cpu::RunExit::kBudget);
+    ASSERT_GT(rigs[0].cpu.sbc_stats().chains, 0u);
+    expect_same("warm");
 
-  CpuHarness plain;  // the same program, never watched
-  build(plain);
-  ASSERT_EQ(plain.cpu.run(100'000'000), cpu::RunExit::kHalted);
-  EXPECT_EQ(rigs[0].cpu.cycles(), plain.cpu.cycles());
-  EXPECT_EQ(rigs[0].cpu.stats().instructions, plain.cpu.stats().instructions);
-  EXPECT_EQ(rigs[0].cpu.stats().mem_accesses, plain.cpu.stats().mem_accesses);
-  EXPECT_EQ(rigs[0].cpu.state().regs, plain.cpu.state().regs);
-  EXPECT_EQ(dump_mem(rigs[0].mem), dump_mem(plain.mem));
+    for (const Case& c : in.cases(rigs[0].prog)) {
+      for (auto& r : rigs) {
+        ASSERT_TRUE(r.cpu.arm_watchpoint(c.va, 4));
+        ASSERT_EQ(r.cpu.run(100000), cpu::RunExit::kStopRequested) << c.store;
+      }
+      expect_same(c.store);
+      for (const DebugEventHook& h : hooks) {
+        ASSERT_EQ(h.events.size(), 1u) << c.store;
+        EXPECT_EQ(h.events[0].vector, cpu::kVecDebug) << c.store;
+        EXPECT_EQ(h.events[0].kind, cpu::EventKind::kMonitor) << c.store;
+        EXPECT_EQ(h.events[0].errcode, cpu::kDbWatchHit) << c.store;
+        EXPECT_EQ(h.events[0].pc, c.resume_pc) << c.store;
+      }
+      const auto& hit = rigs[0].cpu.last_watch_hit();
+      EXPECT_EQ(hit.va, c.va) << c.store;
+      EXPECT_EQ(hit.size, 4u) << c.store;
+      EXPECT_EQ(hit.pc, c.resume_pc) << c.store;
+      // Post-write: the stored value is already in memory.
+      EXPECT_EQ(rigs[0].mem.read32(c.va), hit.value) << c.store;
+      for (unsigned i = 0; i < 2; ++i) {
+        ASSERT_TRUE(rigs[i].cpu.disarm_watchpoint(c.va, 4));
+        hooks[i].events.clear();
+      }
+    }
+    EXPECT_EQ(rigs[0].mem.read32(kStackTop - 8), in.ret_word(rigs[0].prog));
+
+    // Unwritten bytes of the same page: the loop runs out with no event, in
+    // superblocks, and the earlier stops left no trace in simulated time.
+    const auto sbc_entries = [&] {
+      return rigs[0].cpu.sbc_stats().hits + rigs[0].cpu.sbc_stats().chains;
+    };
+    const u64 sbc_before = sbc_entries();
+    for (auto& r : rigs) {
+      ASSERT_TRUE(r.cpu.arm_watchpoint(kData + 0x800, 4));
+      ASSERT_EQ(r.cpu.run(100'000'000), cpu::RunExit::kHalted);
+    }
+    expect_same("halt");
+    for (const DebugEventHook& h : hooks) EXPECT_TRUE(h.events.empty());
+    EXPECT_GT(sbc_entries(), sbc_before);
+    EXPECT_EQ(rigs[0].reg(cpu::kR3), kIters);
+
+    CpuHarness plain;  // the same program, never watched
+    build(plain);
+    ASSERT_EQ(plain.cpu.run(100'000'000), cpu::RunExit::kHalted);
+    EXPECT_EQ(rigs[0].cpu.cycles(), plain.cpu.cycles());
+    EXPECT_EQ(rigs[0].cpu.stats().instructions,
+              plain.cpu.stats().instructions);
+    EXPECT_EQ(rigs[0].cpu.stats().mem_accesses,
+              plain.cpu.stats().mem_accesses);
+    EXPECT_EQ(rigs[0].cpu.state().regs, plain.cpu.state().regs);
+    EXPECT_EQ(dump_mem(rigs[0].mem), dump_mem(plain.mem));
+  }
 }
 
 }  // namespace
