@@ -3,14 +3,18 @@
 namespace vdbg {
 
 void InternetChecksum::add(std::span<const u8> data) {
-  for (u8 byte : data) {
-    if (odd_) {
-      sum_ += byte;  // low byte of the current 16-bit word
-    } else {
-      sum_ += static_cast<u32>(byte) << 8;  // high byte
-    }
-    odd_ = !odd_;
+  const u8* p = data.data();
+  std::size_t n = data.size();
+  if (n == 0) return;
+  u64 sum = sum_;
+  if (odd_) {
+    sum += *p++;  // low byte of the pending 16-bit word
+    --n;
   }
+  for (; n >= 2; p += 2, n -= 2) sum += (u32{p[0]} << 8) | p[1];
+  odd_ = n != 0;
+  if (odd_) sum += u32{*p} << 8;  // high byte; its low byte comes next
+  sum_ = sum;
 }
 
 void InternetChecksum::add_u16(u16 value) {
@@ -20,7 +24,7 @@ void InternetChecksum::add_u16(u16 value) {
 }
 
 u16 InternetChecksum::fold() const {
-  u32 s = sum_;
+  u64 s = sum_;
   while (s >> 16) s = (s & 0xffff) + (s >> 16);
   return static_cast<u16>(~s & 0xffff);
 }

@@ -17,7 +17,9 @@ class InternetChecksum {
   u16 fold() const;
 
  private:
-  u32 sum_ = 0;
+  // Sum of big-endian 16-bit words. A u64 cannot wrap before 2^48 words,
+  // so fold() sees every carry.
+  u64 sum_ = 0;
   bool odd_ = false;  // true when a dangling high byte is pending
 };
 

@@ -74,6 +74,7 @@ bool MetricsRegistry::add_histogram(std::string name, const u32* buckets,
 // thread:any(externally synchronized - each registry is owned by one machine and only touched by the thread driving it)
 std::vector<MetricsRegistry::Sample> MetricsRegistry::snapshot(
     bool replay_exact_only) const {
+  ++reads_;
   std::vector<Sample> out;
   if (!enabled_) return out;
   out.reserve(metrics_.size());
@@ -101,6 +102,7 @@ std::vector<MetricsRegistry::Sample> MetricsRegistry::snapshot(
 
 // thread:any(externally synchronized - each registry is owned by one machine and only touched by the thread driving it)
 std::optional<double> MetricsRegistry::value(std::string_view name) const {
+  ++reads_;
   if (!enabled_) return std::nullopt;
   for (const Entry& e : metrics_) {
     if (e.name != name) continue;

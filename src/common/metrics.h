@@ -87,6 +87,11 @@ class MetricsRegistry {
   /// gauges as doubles, histograms as bucket arrays.
   std::string to_json() const;
 
+  /// Number of reads so far: snapshot() and value() each count one at
+  /// their start (to_json() reads through snapshot()). Gauges that share
+  /// one expensive pass key it on this; see ReadCache.
+  u64 reads() const { return reads_; }
+
  private:
   struct Entry {
     std::string name;
@@ -102,6 +107,30 @@ class MetricsRegistry {
 
   std::vector<Entry> metrics_;
   bool enabled_ = true;
+  mutable u64 reads_ = 0;
+};
+
+/// One value shared by several gauges of one registry: get() computes it
+/// on the first call within a registry read and returns that result for
+/// the rest of the read, so one snapshot() runs the computation once and
+/// every read still sees current state. Gauges hold it by shared_ptr.
+template <typename T>
+class ReadCache {
+ public:
+  explicit ReadCache(const MetricsRegistry& reg) : reg_(reg) {}
+  template <typename Compute>
+  const T& get(Compute&& compute) {
+    if (read_ != reg_.reads()) {
+      value_ = compute();
+      read_ = reg_.reads();
+    }
+    return value_;
+  }
+
+ private:
+  const MetricsRegistry& reg_;
+  u64 read_ = ~u64{0};  // no read yet
+  T value_{};
 };
 
 }  // namespace vdbg

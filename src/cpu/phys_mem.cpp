@@ -1,5 +1,7 @@
 #include "cpu/phys_mem.h"
 
+#include <memory>
+
 #include "common/metrics.h"
 
 namespace vdbg::cpu {
@@ -103,30 +105,27 @@ void PhysMem::register_metrics(MetricsRegistry& reg) {
   reg.add_counter("mem.cow.faults", &cow_faults_, /*replay_exact=*/false);
   reg.add_counter("mem.cow.captures", &cow_captures_, /*replay_exact=*/false);
   reg.add_counter("mem.cow.adopts", &cow_adopts_, /*replay_exact=*/false);
-  reg.add_gauge(
-      "mem.cow.zero_pages",
-      [this] {
-        u64 z = 0;
-        cow_census(&z, nullptr, nullptr);
-        return static_cast<double>(z);
-      },
-      /*replay_exact=*/false);
-  reg.add_gauge(
-      "mem.cow.shared_pages",
-      [this] {
-        u64 s = 0;
-        cow_census(nullptr, &s, nullptr);
-        return static_cast<double>(s);
-      },
-      /*replay_exact=*/false);
-  reg.add_gauge(
-      "mem.cow.owned_pages",
-      [this] {
-        u64 o = 0;
-        cow_census(nullptr, nullptr, &o);
-        return static_cast<double>(o);
-      },
-      /*replay_exact=*/false);
+  // One census pass per registry read fills all three page gauges.
+  struct Census {
+    u64 zero = 0, shared = 0, owned = 0;
+  };
+  auto census = std::make_shared<ReadCache<Census>>(reg);
+  const auto pages = [this, census](u64 Census::*count) {
+    return [this, census, count] {
+      const Census& c = census->get([this] {
+        Census fresh;
+        cow_census(&fresh.zero, &fresh.shared, &fresh.owned);
+        return fresh;
+      });
+      return static_cast<double>(c.*count);
+    };
+  };
+  reg.add_gauge("mem.cow.zero_pages", pages(&Census::zero),
+                /*replay_exact=*/false);
+  reg.add_gauge("mem.cow.shared_pages", pages(&Census::shared),
+                /*replay_exact=*/false);
+  reg.add_gauge("mem.cow.owned_pages", pages(&Census::owned),
+                /*replay_exact=*/false);
 }
 
 void PhysMem::save(SnapshotWriter& w) const {

@@ -33,6 +33,7 @@
 // every marked page before they replace the contents.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <span>
@@ -222,15 +223,25 @@ class PhysMem {
   }
   /// Bulk copy into memory. Caller must check contains().
   void write_block(PAddr a, std::span<const u8> in) {
-    if (in.empty()) return;
-    retire_code(a, static_cast<u32>(in.size()));
-    std::size_t done = 0;
-    while (done < in.size()) {
-      const PAddr cur = a + static_cast<u32>(done);
+    fill_block(a, static_cast<u32>(in.size()),
+               [&in](u32 done, std::span<u8> dst) {
+                 std::memcpy(dst.data(), in.data() + done, dst.size());
+               });
+  }
+  /// Bulk write in place: retires decoded code over [a, a+len) once, then
+  /// calls fill(done, span) for each page-bounded writable span in address
+  /// order, `done` being the span's offset from `a`. The fill must write
+  /// every byte of its span. Copy-on-write faults and code retirement are
+  /// exactly those of write_block. Caller must check contains().
+  template <typename Fill>
+  void fill_block(PAddr a, u32 len, Fill&& fill) {
+    if (len == 0) return;
+    retire_code(a, len);
+    for (u32 done = 0; done < len;) {
+      const PAddr cur = a + done;
       const u32 off = cur & kPageMask;
-      const std::size_t n =
-          std::min<std::size_t>(in.size() - done, kPageSize - off);
-      std::memcpy(wpage(cur >> kPageBits) + off, in.data() + done, n);
+      const u32 n = std::min(len - done, kPageSize - off);
+      fill(done, std::span<u8>(wpage(cur >> kPageBits) + off, n));
       done += n;
     }
   }

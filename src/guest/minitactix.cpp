@@ -1,6 +1,7 @@
 #include "guest/minitactix.h"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 #include <vector>
 
@@ -1055,16 +1056,23 @@ net::PacketSink::Validator make_stream_validator(const RunConfig& rc) {
     const u32 off_in_chunk = static_cast<u32>(stream_off % chunk);
     const unsigned disk = chunk_idx % 3;
     const u32 stripe = (chunk_idx / 3) % 2048;
-    const u32 lba = stripe * (chunk / hw::kSectorBytes) +
-                    off_in_chunk / hw::kSectorBytes;
-    std::vector<u8> expect(seg);
-    // off_in_chunk is sector-aligned only when seg divides the sector size
-    // evenly; handle the general case via the byte offset within the sector.
-    const u32 sector_off = off_in_chunk % hw::kSectorBytes;
-    std::vector<u8> raw(seg + sector_off);
-    hw::ScsiDisk::fill_pattern(disk, lba, raw);
-    std::copy(raw.begin() + sector_off, raw.end(), expect.begin());
-    return std::equal(body.begin(), body.end(), expect.begin());
+    u32 lba = stripe * (chunk / hw::kSectorBytes) +
+              off_in_chunk / hw::kSectorBytes;
+    // The segment starts mid-sector unless segment_bytes is a multiple of
+    // the sector size; compare it piece by piece up to each sector edge.
+    u32 sector_off = off_in_chunk % hw::kSectorBytes;
+    std::array<u8, hw::kSectorBytes> expect;
+    for (std::size_t done = 0; done < body.size(); ++lba, sector_off = 0) {
+      const std::size_t n = std::min<std::size_t>(
+          hw::kSectorBytes - sector_off, body.size() - done);
+      const std::span<u8> piece(expect.data(), n);
+      hw::ScsiDisk::fill_pattern(disk, lba, sector_off, piece);
+      if (!std::equal(piece.begin(), piece.end(), body.begin() + done)) {
+        return false;
+      }
+      done += n;
+    }
+    return true;
   };
 }
 

@@ -1,6 +1,6 @@
 #include "hw/scsi_disk.h"
 
-#include <vector>
+#include <algorithm>
 
 #include "common/units.h"
 
@@ -17,24 +17,61 @@ ScsiDisk::ScsiDisk(unsigned id, EventQueue& eq, const Clock& clock,
       mem_(mem),
       cfg_(cfg) {}
 
-u8 ScsiDisk::pattern_byte(unsigned disk_id, u32 lba, u32 off) {
-  // Cheap deterministic mix; distinct across disks, sectors and offsets.
-  u32 x = lba * 2654435761u + off * 40503u + disk_id * 97u + 0x9e37u;
+namespace {
+
+// Cheap deterministic mix; distinct across disks, sectors and offsets. The
+// pattern byte at offset j of a sector is mix(sector_base + j * 40503).
+u32 sector_base(unsigned disk_id, u32 lba) {
+  return lba * 2654435761u + disk_id * 97u + 0x9e37u;
+}
+constexpr u32 kOffsetStep = 40503u;
+u8 mix(u32 x) {
   x ^= x >> 15;
   x *= 2246822519u;
   x ^= x >> 13;
   return static_cast<u8>(x);
 }
 
-void ScsiDisk::fill_pattern(unsigned disk_id, u32 lba, std::span<u8> out) {
-  u32 sector = lba;
-  u32 off = 0;
-  for (auto& b : out) {
-    b = pattern_byte(disk_id, sector, off);
-    if (++off == kSectorBytes) {
-      off = 0;
-      ++sector;
+using Overlay = std::map<u32, std::array<u8, kSectorBytes>>;
+
+/// Calls f(byte offset from lba, sector data) for each overlay sector that
+/// overlaps the `bytes` bytes starting at sector `lba`, in order.
+template <typename F>
+void for_each_written(const Overlay& written, u32 lba, u64 bytes, F&& f) {
+  const u64 end = lba + (bytes + kSectorBytes - 1) / kSectorBytes;
+  for (auto it = written.lower_bound(lba);
+       it != written.end() && it->first < end; ++it) {
+    f(u64{it->first - lba} * kSectorBytes, it->second);
+  }
+}
+
+}  // namespace
+
+u8 ScsiDisk::pattern_byte(unsigned disk_id, u32 lba, u32 off) {
+  return mix(sector_base(disk_id, lba) + off * kOffsetStep);
+}
+
+void ScsiDisk::fill_pattern(unsigned disk_id, u32 lba, u32 first_off,
+                            std::span<u8> out) {
+  lba += first_off / kSectorBytes;
+  u32 off = first_off % kSectorBytes;
+  u8* p = out.data();
+  std::size_t left = out.size();
+  while (left != 0) {
+    u32 x = sector_base(disk_id, lba) + off * kOffsetStep;
+    const std::size_t n = std::min<std::size_t>(left, kSectorBytes - off);
+    if (n == kSectorBytes) {
+      // A whole sector: the fixed trip count lets the compiler vectorise
+      // this loop, and stepping x, rather than recomputing it from
+      // j * kOffsetStep, spares the vector loop a second multiply.
+      for (u32 j = 0; j < kSectorBytes; ++j, x += kOffsetStep) p[j] = mix(x);
+    } else {
+      for (std::size_t j = 0; j < n; ++j, x += kOffsetStep) p[j] = mix(x);
     }
+    p += n;
+    left -= n;
+    off = 0;
+    ++lba;
   }
 }
 
@@ -81,15 +118,14 @@ void ScsiDisk::finish_with(u32 status, PAddr req_addr) {
 }
 
 void ScsiDisk::read_medium(u32 lba, std::span<u8> out) const {
-  fill_pattern(id_, lba, out);
+  fill_pattern(id_, lba, 0, out);
   // Overlay any sectors the guest wrote.
-  u32 sector = lba;
-  for (std::size_t off = 0; off < out.size(); off += kSectorBytes, ++sector) {
-    const auto it = written_.find(sector);
-    if (it == written_.end()) continue;
-    const std::size_t n = std::min<std::size_t>(kSectorBytes, out.size() - off);
-    std::copy_n(it->second.begin(), n, out.begin() + off);
-  }
+  for_each_written(written_, lba, out.size(),
+                   [out](u64 off, const auto& sector) {
+                     const std::size_t n = std::min<std::size_t>(
+                         kSectorBytes, out.size() - off);
+                     std::copy_n(sector.begin(), n, out.begin() + off);
+                   });
 }
 
 void ScsiDisk::submit(bool is_write) {
@@ -148,9 +184,16 @@ void ScsiDisk::complete(Cycles) {
       mem_.read_block(cur_buf_ + i * kSectorBytes, sector);
     }
   } else {
-    std::vector<u8> buf(bytes);
-    read_medium(cur_lba_, buf);
-    mem_.write_block(cur_buf_, buf);
+    // Disk -> memory: the pattern goes straight into the guest's frames,
+    // then the written sectors land over it.
+    mem_.fill_block(cur_buf_, bytes, [this](u32 done, std::span<u8> dst) {
+      fill_pattern(id_, cur_lba_, done, dst);
+    });
+    for_each_written(written_, cur_lba_, bytes,
+                     [this](u64 off, const auto& sector) {
+                       mem_.write_block(cur_buf_ + static_cast<u32>(off),
+                                        sector);
+                     });
   }
   busy_ = false;
   ++completed_;

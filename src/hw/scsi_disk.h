@@ -76,9 +76,12 @@ class ScsiDisk final : public IoDevice {
 
   /// Deterministic content generator for sector data.
   static u8 pattern_byte(unsigned disk_id, u32 lba, u32 offset_in_sector);
-  /// Fills `out` with the bytes starting at (lba, 0). Used by the disk
-  /// itself, by integrity tests and by the host-path SCSI emulation.
-  static void fill_pattern(unsigned disk_id, u32 lba, std::span<u8> out);
+  /// Fills `out` with the pattern from byte `first_off` of sector `lba`
+  /// onwards, running on across sector boundaries; every byte equals
+  /// pattern_byte at its sector and offset. Used by the disk's DMA, by the
+  /// stream validator and by integrity tests.
+  static void fill_pattern(unsigned disk_id, u32 lba, u32 first_off,
+                           std::span<u8> out);
 
   // --- perturbation knob (multiverse fork time; deterministic) ---
   /// Constant extra cycles added to every request's completion latency on

@@ -248,6 +248,40 @@ TEST(Checksum, IncrementalMatchesOneShot) {
   EXPECT_EQ(inc.fold(), internet_checksum(data));
 }
 
+TEST(Checksum, AnySplitMatchesOneShot) {
+  Rng rng(21);
+  std::vector<u8> frame(1036);  // a paper-stream frame's UDP length
+  for (auto& b : frame) b = static_cast<u8>(rng.next_u32());
+  const std::span<const u8> all(frame);
+  const u16 want = internet_checksum(all);
+  for (std::size_t i = 0; i <= all.size(); ++i) {
+    InternetChecksum two;
+    two.add(all.first(i));
+    two.add(all.subspan(i));
+    ASSERT_EQ(two.fold(), want) << "split at " << i;
+    for (std::size_t j : {i, i + 1, i + 2, i + 3, i + 511, i + 512,
+                          (i + all.size()) / 2}) {
+      if (j > all.size()) continue;
+      InternetChecksum three;
+      three.add(all.first(i));
+      three.add(all.subspan(i, j - i));
+      three.add(all.subspan(j));
+      ASSERT_EQ(three.fold(), want) << "splits at " << i << ", " << j;
+    }
+  }
+}
+
+TEST(Checksum, KeepsEveryCarryPastTheU32Range) {
+  // 131072 words of 0xffff sum to a nonzero multiple of 0xffff, which RFC
+  // 1071 folds to 0xffff (negative zero) and complements to 0.
+  const std::vector<u8> ones(256 * 1024, 0xff);
+  EXPECT_EQ(internet_checksum(ones), 0x0000);
+  InternetChecksum halves;
+  halves.add(std::span<const u8>(ones).first(128 * 1024 + 1));
+  halves.add(std::span<const u8>(ones).subspan(128 * 1024 + 1));
+  EXPECT_EQ(halves.fold(), 0x0000);
+}
+
 // ------------------------------------------------------------------- hex --
 TEST(Hex, RoundTripRandom) {
   Rng rng(11);

@@ -242,6 +242,45 @@ TEST(CowPhysMem, MetricsRegisterUnderMemCow) {
   EXPECT_TRUE(saw_faults);
 }
 
+TEST(CowPhysMem, PageGaugesMatchTheCensusAtEveryRead) {
+  PhysMem m(kMemBytes);
+  MetricsRegistry reg;
+  m.register_metrics(reg);
+  const auto expect_census = [&](const char* when) {
+    u64 zero = 0, shared = 0, owned = 0;
+    m.cow_census(&zero, &shared, &owned);
+    double got_zero = -1, got_shared = -1, got_owned = -1;
+    for (const auto& s : reg.snapshot()) {
+      if (s.name == "mem.cow.zero_pages") got_zero = s.number;
+      if (s.name == "mem.cow.shared_pages") got_shared = s.number;
+      if (s.name == "mem.cow.owned_pages") got_owned = s.number;
+    }
+    EXPECT_EQ(got_zero, double(zero)) << when;
+    EXPECT_EQ(got_shared, double(shared)) << when;
+    EXPECT_EQ(got_owned, double(owned)) << when;
+    EXPECT_EQ(reg.value("mem.cow.owned_pages"), double(owned)) << when;
+  };
+  expect_census("fresh");
+  for (u32 p : {1u, 2u, 3u}) m.write32(p * kPageSize, p);
+  expect_census("three pages written");
+  {
+    const CowPages first = m.capture_cow();
+    expect_census("captured");
+    m.write32(2 * kPageSize + 8, 0xbeef);  // copy-on-write fault
+    m.write32(6 * kPageSize, 0xcafe);      // fresh page
+    expect_census("written after capture");
+    const CowPages second = m.capture_cow();
+    expect_census("captured again");
+  }
+  expect_census("checkpoints released");
+  // value() reads afresh each time, with no snapshot in between.
+  const double owned = *reg.value("mem.cow.owned_pages");
+  m.write32(9 * kPageSize, 1);
+  EXPECT_EQ(reg.value("mem.cow.owned_pages"), owned + 1);
+  EXPECT_EQ(reg.value("mem.cow.zero_pages"),
+            double(kMemBytes / kPageSize) - owned - 1);
+}
+
 // ------------------------------------------------- delta checkpoint ring --
 
 std::unique_ptr<Platform> make_lvmm() {

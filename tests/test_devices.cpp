@@ -2,6 +2,9 @@
 // NIC and the diagnostic port, each driven through its register interface.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/units.h"
 #include "hw/diag_port.h"
 #include "hw/io_bus.h"
@@ -335,13 +338,32 @@ struct ScsiRig : Clock {
     t += d;
     eq.run_until(t);
   }
-  void request(u32 lba, u32 sectors, u32 dest, PAddr block = 0x1000) {
+  void request(u32 lba, u32 sectors, u32 dest, PAddr block = 0x1000,
+               u16 doorbell = 0x04) {
     mem.write32(block + 0, lba);
     mem.write32(block + 4, sectors);
     mem.write32(block + 8, dest);
     mem.write32(block + 12, 0xffffffff);
     disk.io_write(0x00, block);
-    disk.io_write(0x04, 1);
+    disk.io_write(doorbell, 1);
+  }
+  /// Submits a request and runs it to completion, then acks it.
+  void transfer(u32 lba, u32 sectors, u32 buf, bool is_write = false) {
+    request(lba, sectors, buf, 0x1000, is_write ? 0x10 : 0x04);
+    advance(seconds_to_cycles(0.01));
+    ASSERT_FALSE(disk.busy());
+    ASSERT_EQ(disk.io_read(0x0c), u32{ScsiDisk::kOk});
+    disk.io_write(0x08, 1);
+  }
+  std::vector<u8> memory(u32 a, u32 len) const {
+    std::vector<u8> out(len);
+    mem.read_block(a, out);
+    return out;
+  }
+  std::vector<u8> medium(u32 lba, u32 len) const {
+    std::vector<u8> out(len);
+    disk.read_medium(lba, out);
+    return out;
   }
   EventQueue eq;
   Pic pic;
@@ -410,6 +432,128 @@ TEST(Scsi, DoorbellWhileBusyReportsBusy) {
   EXPECT_EQ(rig.disk.io_read(0x0c), u32{ScsiDisk::kBusy});
   rig.advance(seconds_to_cycles(0.01));
   EXPECT_EQ(rig.disk.io_read(0x0c), u32{ScsiDisk::kOk});  // original done
+}
+
+TEST(Scsi, FillPatternMatchesPatternByteAcrossSectorEdges) {
+  const u32 near_end = ScsiDisk::Config{}.capacity_sectors - 3;
+  constexpr u32 kMaxLen = 3 * kSectorBytes;
+  constexpr u8 kCanary = 0xa5;
+  std::vector<u8> buf(kMaxLen + 16);
+  const auto check = [&](unsigned disk, u32 lba, u32 first, u32 len) {
+    std::fill(buf.begin(), buf.end(), kCanary);
+    ScsiDisk::fill_pattern(disk, lba, first, std::span<u8>(buf.data(), len));
+    for (u32 i = 0; i < len; ++i) {
+      const u32 pos = first + i;
+      const u8 want = ScsiDisk::pattern_byte(disk, lba + pos / kSectorBytes,
+                                             pos % kSectorBytes);
+      if (buf[i] != want) {
+        ADD_FAILURE() << "disk " << disk << " lba " << lba << " first "
+                      << first << " len " << len << ": byte " << i;
+        return false;
+      }
+    }
+    for (u32 i = len; i < len + 16; ++i) {
+      if (buf[i] != kCanary) {
+        ADD_FAILURE() << "wrote past len " << len << " at first " << first;
+        return false;
+      }
+    }
+    return true;
+  };
+  for (unsigned disk : {0u, 1u, 2u}) {
+    for (u32 lba : {0u, 77u, near_end}) {
+      // Every start offset, with lengths that stop just short of, at and
+      // just past each of the next sector edges.
+      for (u32 first = 0; first < kSectorBytes; ++first) {
+        const u32 edge = kSectorBytes - first;
+        for (u32 len : {0u, 1u, edge - 1, edge, edge + 1, edge + 511,
+                        edge + kSectorBytes, edge + kSectorBytes + 1,
+                        kMaxLen}) {
+          if (!check(disk, lba, first, len)) return;
+        }
+      }
+      // Every length, from a few start offsets.
+      for (u32 first : {0u, 1u, 255u, 511u}) {
+        for (u32 len = 0; len <= kMaxLen; ++len) {
+          if (!check(disk, lba, first, len)) return;
+        }
+      }
+    }
+  }
+}
+
+TEST(Scsi, ReadAcrossPagesWithOverlaySectorsMatchesMedium) {
+  ScsiRig rig;
+  const u32 lba = 1000, sectors = 20;
+  const u32 dest = 0x20ffc;  // 4-byte aligned, straddles three page edges
+  const u32 bytes = sectors * kSectorBytes;
+  // The guest writes the first, a middle and the last sector of the range.
+  for (u32 s : {0u, 9u, sectors - 1}) {
+    std::vector<u8> data(kSectorBytes);
+    for (u32 i = 0; i < kSectorBytes; ++i) data[i] = static_cast<u8>(s * 7 + i);
+    rig.mem.write_block(0x100000, data);
+    rig.transfer(lba + s, 1, 0x100000, /*is_write=*/true);
+  }
+  ASSERT_EQ(rig.disk.sectors_written(), 3u);
+  std::vector<u8> fence(bytes + 8, 0x5a);
+  rig.mem.write_block(dest - 4, fence);
+
+  rig.transfer(lba, sectors, dest);
+  EXPECT_EQ(rig.memory(dest, bytes), rig.medium(lba, bytes));
+  EXPECT_EQ(rig.mem.read8(dest + 9 * kSectorBytes + 3), u8{9 * 7 + 3})
+      << "an overlay sector reached guest memory";
+  EXPECT_EQ(rig.mem.read32(dest - 4), 0x5a5a5a5au);
+  EXPECT_EQ(rig.mem.read32(dest + bytes), 0x5a5a5a5au);
+}
+
+TEST(Scsi, ReadOverCapturedPagesCopiesOnWriteLikeWriteBlock) {
+  const u32 lba = 40, sectors = 14;
+  const u32 dest = 0x40800;  // pages 0x40..0x42; 0x42 is never written
+  const u32 bytes = sectors * kSectorBytes;
+  const auto prime = [&](ScsiRig& rig) {
+    std::vector<u8> before(2 * cpu::kPageSize, 0x33);
+    rig.mem.write_block(0x40000, before);
+    return rig.mem.capture_cow();
+  };
+
+  ScsiRig dma;
+  const cpu::CowPages capture = prime(dma);
+  dma.request(lba, sectors, dest);  // writes the request block first
+  const u64 faults = dma.mem.cow_faults();
+  dma.advance(seconds_to_cycles(0.01));
+  ASSERT_EQ(dma.disk.io_read(0x0c), u32{ScsiDisk::kOk});
+  const u64 dma_faults = dma.mem.cow_faults() - faults;
+
+  ScsiRig copy;
+  const cpu::CowPages copy_capture = prime(copy);
+  const u64 copy_before = copy.mem.cow_faults();
+  copy.mem.write_block(dest, copy.medium(lba, bytes));
+  EXPECT_EQ(dma_faults, copy.mem.cow_faults() - copy_before);
+  EXPECT_EQ(dma_faults, 3u);
+
+  EXPECT_EQ(dma.memory(dest, bytes), dma.medium(lba, bytes));
+  // The capture still holds the bytes from before the transfer.
+  cpu::PhysMem seen(dma.mem.size());
+  ASSERT_TRUE(seen.adopt_cow(capture));
+  std::vector<u8> kept(3 * cpu::kPageSize);
+  seen.read_block(0x40000, kept);
+  std::vector<u8> want(3 * cpu::kPageSize, 0);
+  std::fill_n(want.begin(), 2 * cpu::kPageSize, u8{0x33});
+  EXPECT_EQ(kept, want);
+}
+
+TEST(Scsi, ReadOverDecodedCodeRetiresThatPageOnly) {
+  ScsiRig rig;
+  const u32 dest = 0x50000, sectors = 16;  // pages 0x50 and 0x51
+  rig.mem.mark_code(0x50000 + 0x200, 64);  // inside the transfer
+  rig.mem.mark_code(0x52000 + 0x40, 64);   // just past it
+  const u64 in = rig.mem.page_version(0x50);
+  const u64 clean = rig.mem.page_version(0x51);
+  const u64 out = rig.mem.page_version(0x52);
+  rig.transfer(7, sectors, dest);
+  EXPECT_EQ(rig.mem.page_version(0x50), in + 1);
+  EXPECT_EQ(rig.mem.page_version(0x51), clean);
+  EXPECT_EQ(rig.mem.page_version(0x52), out);
 }
 
 // ----------------------------------------------------------------- nic ---

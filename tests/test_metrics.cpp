@@ -48,6 +48,37 @@ TEST(MetricName, EnforcesLayerComponentMetric) {
   EXPECT_FALSE(valid_metric_name("vmm exit total"));
 }
 
+TEST(MetricsRegistry, ReadCacheComputesOncePerRead) {
+  MetricsRegistry reg;
+  int passes = 0;
+  u64 state = 5;
+  auto cache = std::make_shared<ReadCache<u64>>(reg);
+  const auto scaled = [&passes, &state, cache](u64 k) {
+    return [&passes, &state, cache, k] {
+      return double(k * cache->get([&] {
+        ++passes;
+        return state;
+      }));
+    };
+  };
+  reg.add_gauge("t.unit.x1", scaled(1));
+  reg.add_gauge("t.unit.x2", scaled(2));
+  reg.add_gauge("t.unit.x3", scaled(3));
+
+  const auto snap = reg.snapshot();
+  ASSERT_EQ(snap.size(), 3u);
+  EXPECT_EQ(passes, 1) << "one pass feeds every gauge of a snapshot";
+  EXPECT_EQ(snap[2].number, 15.0);
+  state = 7;
+  EXPECT_EQ(reg.to_json(),
+            "{\"t.unit.x1\":7,\"t.unit.x2\":14,\"t.unit.x3\":21}");
+  EXPECT_EQ(passes, 2);
+  state = 8;
+  EXPECT_EQ(reg.value("t.unit.x2"), 16.0);
+  EXPECT_EQ(reg.value("t.unit.x3"), 24.0);
+  EXPECT_EQ(passes, 4) << "each value() is its own read";
+}
+
 TEST(MetricsRegistry, RegistersAndSnapshotsInOrder) {
   MetricsRegistry reg;
   u64 a = 7, b = 9;

@@ -87,7 +87,7 @@ TEST(NanoCoop, DiskChecksumsIdenticalAcrossPlatforms) {
   u32 expect = 0;
   for (u32 blk = 0; blk < 4; ++blk) {
     std::vector<u8> buf(8 * hw::kSectorBytes);
-    hw::ScsiDisk::fill_pattern(0, blk * 8, buf);
+    hw::ScsiDisk::fill_pattern(0, blk * 8, 0, buf);
     for (u32 off = 0; off < buf.size(); off += 4) {
       expect += u32(buf[off]) | (u32(buf[off + 1]) << 8) |
                 (u32(buf[off + 2]) << 16) | (u32(buf[off + 3]) << 24);

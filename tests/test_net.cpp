@@ -1,8 +1,10 @@
 // UDP/IPv4 codec and packet-sink tests, including random round-trip
-// properties and corruption detection.
+// properties and corruption detection, and the sink's stream validator.
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "guest/minitactix.h"
+#include "hw/scsi_disk.h"
 #include "net/packet_sink.h"
 #include "net/udp.h"
 
@@ -219,6 +221,68 @@ TEST(PacketSink, RawMode) {
   rig.sink.on_frame(build_frame(rig.f, std::vector<u8>(10, 1)), 0);
   EXPECT_EQ(rig.sink.frames(), 1u);
   EXPECT_EQ(rig.sink.sequence_gaps(), 0u);
+}
+
+// ------------------------------------------------------ stream validator --
+// Body of segment `seq` built byte by byte from the disk pattern: chunk c of
+// the stream is stripe c / 3 of disk c % 3.
+std::vector<u8> stream_body(const guest::RunConfig& rc, u32 seq) {
+  const u64 start = u64(seq) * rc.segment_bytes;
+  const u32 chunk_idx = static_cast<u32>(start / rc.chunk_bytes);
+  const u32 first_lba =
+      (chunk_idx / 3) % 2048 * (rc.chunk_bytes / hw::kSectorBytes);
+  const u32 in_chunk = static_cast<u32>(start % rc.chunk_bytes);
+  std::vector<u8> body(rc.segment_bytes);
+  for (u32 i = 0; i < body.size(); ++i) {
+    const u32 off = in_chunk + i;
+    body[i] = hw::ScsiDisk::pattern_byte(chunk_idx % 3,
+                                         first_lba + off / hw::kSectorBytes,
+                                         off % hw::kSectorBytes);
+  }
+  return body;
+}
+
+guest::RunConfig stream_config(u32 segment_bytes) {
+  guest::RunConfig rc;
+  rc.segment_bytes = segment_bytes;
+  rc.chunk_bytes = 64 * segment_bytes;  // sector-aligned for both sizes used
+  return rc;
+}
+
+TEST(StreamValidator, AcceptsTheDiskStream) {
+  // 1040-byte segments start 16 bytes further into a sector each time.
+  for (u32 seg : {1024u, 1040u}) {
+    const guest::RunConfig rc = stream_config(seg);
+    const auto valid = guest::make_stream_validator(rc);
+    for (u32 seq = 0; seq < 4 * 64 + 3; ++seq) {  // four chunks, three disks
+      EXPECT_TRUE(valid(seq, stream_body(rc, seq))) << seg << " seq " << seq;
+    }
+  }
+  const guest::RunConfig paper;  // 1024-byte segments of 2 MiB chunks
+  const auto valid = guest::make_stream_validator(paper);
+  for (u32 seq : {0u, 2047u, 2048u, 3u * 2048 + 5}) {
+    EXPECT_TRUE(valid(seq, stream_body(paper, seq))) << "seq " << seq;
+  }
+}
+
+TEST(StreamValidator, RejectsAnyFlippedByteAndWrongLengths) {
+  const guest::RunConfig rc = stream_config(1040);
+  const auto valid = guest::make_stream_validator(rc);
+  const u32 seq = 3;  // starts 48 bytes into a sector
+  const std::vector<u8> good = stream_body(rc, seq);
+  ASSERT_TRUE(valid(seq, good));
+  const u32 edge = hw::kSectorBytes - 48;  // first byte of the next sector
+  for (u32 at : {0u, edge - 1, edge, edge + 1, u32(good.size()) - 1}) {
+    std::vector<u8> bad = good;
+    bad[at] ^= 0x01;
+    EXPECT_FALSE(valid(seq, bad)) << "flip at " << at;
+  }
+  const std::span<const u8> body(good);
+  EXPECT_FALSE(valid(seq, body.first(good.size() - 1)));
+  std::vector<u8> longer = good;
+  longer.push_back(0);
+  EXPECT_FALSE(valid(seq, longer));
+  EXPECT_FALSE(valid(seq + 1, good)) << "another segment's bytes";
 }
 
 }  // namespace
