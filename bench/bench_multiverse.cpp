@@ -50,7 +50,7 @@ bool samples_identical(const std::vector<MetricsRegistry::Sample>& a,
   return true;
 }
 
-Leg run_leg(const vmm::TimeTravel::Checkpoint& cp, unsigned threads) {
+Leg run_leg(const vmm::Checkpoint& cp, unsigned threads) {
   fleet::MultiverseConfig cfg;
   cfg.timelines = kTimelines;
   cfg.threads = threads;
@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
   const bool json = argc > 1 && std::strcmp(argv[1], "--json") == 0;
 
   // One checkpoint, shared by every leg: a minitactix guest run mid-flight,
-  // captured in delta mode so forks adopt COW pages.
+  // captured as a delta checkpoint so forks adopt COW pages.
   fleet::MachineUnit unit(fleet::UnitKind::kLvmm, fleet::UnitOptions{}, 0);
   unit.prepare(guest::RunConfig::for_rate_mbps(40.0));
   unit.machine().run_for(seconds_to_cycles(0.01));

@@ -5,8 +5,9 @@
 //                             type interactively; `help` lists commands)
 //   ./debugger_cli --demo     runs a canned transcript that exercises
 //                             breakpoints, watchpoints, reverse execution,
-//                             tracing and memory, checks every reply it
-//                             expects, and exits non-zero on a mismatch
+//                             tracing, the replayable window and memory,
+//                             checks every reply it expects, and exits
+//                             non-zero on a mismatch
 //
 // The target streams the paper's disk->UDP workload at 60 Mbps the whole
 // time — debug it live, as the paper intends.
@@ -19,6 +20,7 @@
 #include "fleet/multiverse.h"
 #include "guest/minitactix.h"
 #include "harness/platform.h"
+#include "vmm/flight_loop.h"
 #include "vmm/flight_recorder.h"
 #include "vmm/stub.h"
 #include "vmm/time_travel.h"
@@ -60,6 +62,7 @@ constexpr DemoStep kDemo[] = {
     {"run 5", "advanced 5 ms"},
     {"trace show 6", nullptr},
     {"run 20", "advanced 20 ms"},
+    {"window", "replayable window"},
     {"status", "crashed:   no"},
     {"quit", nullptr},
 };
@@ -97,6 +100,13 @@ int main(int argc, char** argv) {
   vmm::ExitTracer tracer;
   platform.monitor()->set_tracer(&tracer);
 
+  // Continuous capture behind the live position answers `profile`,
+  // `history` and `window`.
+  vmm::FlightLoop flight_loop(*platform.monitor());
+  flight_loop.set_metrics(&platform.metrics());
+  flight_loop.arm();
+  stub.set_flight_loop(&flight_loop);
+
   // Periodic checkpoints make the reverse-continue / reverse-step commands
   // available (the stub anchors extra checkpoints at every resume).
   vmm::TimeTravel tt(*platform.monitor());
@@ -107,7 +117,7 @@ int main(int argc, char** argv) {
   // a checkpoint taken at the current stop and run them on fleet workers.
   fleet::MultiverseConfig mvcfg;
   mvcfg.run = guest::RunConfig::for_rate_mbps(60.0);
-  vmm::MultiverseService multiverse(stub, tt, mvcfg);
+  fleet::MultiverseService multiverse(stub, tt, mvcfg);
 
   // `metrics [prefix]` and `dump` route through these over the wire.
   stub.set_metrics(&platform.metrics());
@@ -116,13 +126,6 @@ int main(int argc, char** argv) {
   vmm::FlightRecorder flight(*platform.monitor(), fc);
   flight.set_metrics(&platform.metrics());
   stub.set_flight_recorder(&flight);
-
-  // The VDBG_FLIGHT_LOOP env hook arms continuous capture on the unit
-  // during prepare(); wire it up so `profile` / `history` / `window`
-  // answer over this stub.
-  if (vmm::FlightLoop* fl = platform.unit().flight_loop()) {
-    stub.set_flight_loop(fl);
-  }
 
   debug::RemoteDebugger dbg(platform.machine());
   dbg.add_symbols(platform.image().kernel);

@@ -49,7 +49,6 @@ class EventQueue {
   /// Enables storing event names for introspection (pending_names). Off by
   /// default: names passed to schedule_* are dropped without allocating.
   void set_name_tracing(bool on) { name_tracing_ = on; }
-  bool name_tracing() const { return name_tracing_; }
   /// Labels of live pending events, deadline order. Entries scheduled while
   /// name tracing was off (or namelessly) appear as "?". Debug/test aid.
   std::vector<std::string> pending_names() const;

@@ -35,11 +35,6 @@ SnapshotWriter::SnapshotWriter() {
   put_u32(kVersion);
 }
 
-void SnapshotWriter::put_u16(u16 v) {
-  put_u8(static_cast<u8>(v));
-  put_u8(static_cast<u8>(v >> 8));
-}
-
 void SnapshotWriter::put_u32(u32 v) {
   for (int i = 0; i < 4; ++i) put_u8(static_cast<u8>(v >> (8 * i)));
 }
@@ -187,12 +182,6 @@ u8 SnapshotReader::get_u8() {
     return 0;
   }
   return data_[pos_++];
-}
-
-u16 SnapshotReader::get_u16() {
-  u16 v = get_u8();
-  v |= static_cast<u16>(get_u8()) << 8;
-  return v;
 }
 
 u32 SnapshotReader::get_u32() {

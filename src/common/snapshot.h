@@ -65,7 +65,6 @@ class SnapshotWriter {
   SnapshotWriter();
 
   void put_u8(u8 v) { buf_.push_back(v); }
-  void put_u16(u16 v);
   void put_u32(u32 v);
   void put_u64(u64 v);
   void put_bool(bool v) { put_u8(v ? 1 : 0); }
@@ -105,14 +104,11 @@ class SnapshotReader {
   /// Positions the cursor at the start of the section with `tag`.
   /// Returns false (and sets error) if the section is absent.
   bool open_section(SnapTag tag);
-  /// Bytes remaining in the open section.
-  std::size_t section_remaining() const { return section_end_ - pos_; }
 
   // Primitive reads. Out-of-bounds reads (past the open section) set an
   // error, return 0 and leave the cursor clamped; callers check ok() once
   // after a batch of reads rather than after each one.
   u8 get_u8();
-  u16 get_u16();
   u32 get_u32();
   u64 get_u64();
   bool get_bool() { return get_u8() != 0; }

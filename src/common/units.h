@@ -22,11 +22,6 @@ constexpr double cycles_to_seconds(Cycles c) {
   return static_cast<double>(c) / kCpuHz;
 }
 
-/// Converts a throughput in megabits per second to bytes per second.
-constexpr double mbps_to_bytes_per_sec(double mbps) {
-  return mbps * 1e6 / 8.0;
-}
-
 /// Converts bytes moved over a cycle span to megabits per second.
 constexpr double bytes_per_cycles_to_mbps(u64 bytes, Cycles span) {
   if (span == 0) return 0.0;

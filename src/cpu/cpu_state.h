@@ -39,7 +39,6 @@ struct CpuState {
   bool paging_enabled() const { return cr[kCr0] & kCr0PgBit; }
 
   u32 sp() const { return regs[kSp]; }
-  void set_sp(u32 v) { regs[kSp] = v; }
 };
 
 }  // namespace vdbg::cpu

@@ -274,37 +274,6 @@ inline bool is_block_terminator(Opcode op) {
   }
 }
 
-/// Terminators after which block dispatch may chain straight into the next
-/// block without returning to the run() loop: plain control transfers that
-/// only move pc (and, for call/ret, the stack). They cannot mask or unmask
-/// interrupts, halt, enter the monitor, touch a device, change CPL/paging
-/// or set the trap flag — so every condition the run() loop re-checks
-/// between instructions is provably unchanged across them. Everything the
-/// predicate excludes (INT/IRET/HLT/CLI/STI/CR writes/I-O/BRK/...) forces
-/// dispatch back through run().
-inline bool is_pure_branch(Opcode op) {
-  switch (op) {
-    case Opcode::kJmp:
-    case Opcode::kJmpR:
-    case Opcode::kJz:
-    case Opcode::kJnz:
-    case Opcode::kJb:
-    case Opcode::kJae:
-    case Opcode::kJbe:
-    case Opcode::kJa:
-    case Opcode::kJl:
-    case Opcode::kJge:
-    case Opcode::kJle:
-    case Opcode::kJg:
-    case Opcode::kCall:
-    case Opcode::kCallR:
-    case Opcode::kRet:
-      return true;
-    default:
-      return false;
-  }
-}
-
 /// Pure branches whose target is a translation-time constant (`imm`). These
 /// are the ops the superblock tier can chain directly: the successor's
 /// virtual entry is the same on every execution, so a resolved

@@ -284,7 +284,6 @@ class PhysMem {
   void add_protected_range(PAddr begin, u32 len) {
     protected_.push_back({begin, len});
   }
-  void clear_protected_ranges() { protected_.clear(); }
 
   /// True when [addr, addr+len) overlaps a protected range. Devices consult
   /// this before DMA writes; tests use it to assert containment.
@@ -318,8 +317,6 @@ class PhysMem {
 
   // --- host-side accounting (never serialized; mem.cow.* metrics) ---
   u64 cow_faults() const { return cow_faults_; }
-  u64 cow_captures() const { return cow_captures_; }
-  u64 cow_adopts() const { return cow_adopts_; }
   /// Page census for gauges: zero-sentinel / shared / exclusively owned.
   void cow_census(u64* zero, u64* shared, u64* owned) const;
   /// mem.cow.* metrics — all host-side (fork/debugger activity), so

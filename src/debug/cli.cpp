@@ -140,7 +140,6 @@ void DebuggerCli::show_stop(RemoteDebugger::StopKind kind) {
 }
 
 bool DebuggerCli::execute(const std::string& line) {
-  ++commands_;
   const auto tok = tokenize(line);
   if (tok.empty()) return true;
   const std::string& cmd = tok[0];

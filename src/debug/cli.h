@@ -44,8 +44,6 @@ class DebuggerCli {
   /// `echo` is set (useful for transcript-style demo output).
   void run(std::istream& in, bool echo = false);
 
-  u64 commands_run() const { return commands_; }
-
  private:
   /// Parses "0x..."/hex literals or symbol names (with +offset).
   std::optional<u32> parse_addr(const std::string& token) const;
@@ -58,7 +56,6 @@ class DebuggerCli {
   RemoteDebugger& dbg_;
   hw::Machine& machine_;
   std::ostream& out_;
-  u64 commands_ = 0;
 };
 
 }  // namespace vdbg::debug

@@ -70,8 +70,7 @@ vmm::DebugStub* MachineUnit::attach_stub() {
   stub_ = std::make_unique<vmm::DebugStub>(*monitor_, machine_->uart());
   stub_->attach();
   stub_->set_metrics(&metrics_);
-  // Observers armed before the stub attached (e.g. the VDBG_FLIGHT_LOOP
-  // env hook arms during prepare()) still get their wire surface.
+  // Observers armed before the stub attached still get their wire surface.
   if (flight_) stub_->set_flight_recorder(flight_.get());
   if (flight_loop_) stub_->set_flight_loop(flight_loop_.get());
   return stub_.get();

@@ -244,8 +244,7 @@ void Multiverse::Stats::add(const Stats& o) {
 }
 
 // thread:init-only(constructed on the coordinating thread before any exploration)
-Multiverse::Multiverse(const vmm::TimeTravel::Checkpoint& cp,
-                       MultiverseConfig cfg)
+Multiverse::Multiverse(const vmm::Checkpoint& cp, MultiverseConfig cfg)
     : cp_(cp), cfg_(std::move(cfg)) {
   if (cp_.bytes.empty()) {
     throw std::invalid_argument("multiverse: empty checkpoint");
@@ -303,8 +302,7 @@ std::vector<TimelineResult> Multiverse::run_batch(
   fc.health.enabled = false;
   fc.prebuilt_image = &image_;
   fc.post_prepare = [this, &perturbs](MachineUnit& u, unsigned i) {
-    if (!vmm::TimeTravel::restore_checkpoint_into(u.machine(), u.monitor(),
-                                                  cp_)) {
+    if (!vmm::restore_checkpoint(u.machine(), u.monitor(), cp_)) {
       throw std::runtime_error("multiverse: checkpoint restore failed");
     }
     // A checkpoint taken at a debugger stop restores with the guest still
@@ -533,7 +531,7 @@ std::optional<std::string> MultiverseService::handle(const std::string& q) {
   // Branch from exactly where the debugger stopped: checkpoint now, fork
   // from the freshest ring entry.
   if (!tt_.checkpoint_now() || tt_.checkpoints().empty()) return "E03";
-  const vmm::TimeTravel::Checkpoint& cp = tt_.checkpoints().back();
+  const vmm::Checkpoint& cp = tt_.checkpoints().back();
 
   try {
     Multiverse mv(cp, cfg);

@@ -1,9 +1,9 @@
 // Multiverse replay: fork K copy-on-write timelines from one checkpoint,
 // perturb each deterministically, and trap timing-dependent bugs.
 //
-// A TimeTravel checkpoint taken in delta mode shares the guest's memory
-// image copy-on-write, so forking K timelines costs K page-table adoptions,
-// not K memory copies. Each fork restores the checkpoint into its own
+// A checkpoint (vmm/checkpoint.h) shares the guest's memory image
+// copy-on-write, so forking K timelines costs K page-table adoptions, not K
+// memory copies. Each fork restores the checkpoint into its own
 // MachineUnit (zero shared mutable state — DESIGN.md §10), applies a
 // bounded Perturbation drawn from a seeded Rng (interrupt-arrival delays
 // through the IrqPerturb shim, SCSI completion-latency extras, NIC wire
@@ -19,8 +19,7 @@
 // the failure) and verifies the verdict by replaying the minimal timeline
 // twice and comparing replay-exact metrics snapshots bit for bit.
 //
-// Layering: this lives in src/fleet (it drives Fleet workers), and
-// vdbg::vmm::Multiverse is an alias for callers thinking in VMM terms.
+// Layering: this lives in src/fleet because it drives Fleet workers.
 #pragma once
 
 #include <array>
@@ -147,7 +146,7 @@ class Multiverse {
   };
 
   /// Copies the checkpoint (COW frames are retained, not duplicated).
-  Multiverse(const vmm::TimeTravel::Checkpoint& cp, MultiverseConfig cfg);
+  Multiverse(const vmm::Checkpoint& cp, MultiverseConfig cfg);
 
   const MultiverseConfig& config() const { return cfg_; }
   const Stats& stats() const { return stats_; }
@@ -172,7 +171,7 @@ class Multiverse {
   Perturbation draw(Rng& rng) const;
 
  private:
-  vmm::TimeTravel::Checkpoint cp_;
+  vmm::Checkpoint cp_;
   MultiverseConfig cfg_;
   guest::GuestImage image_;  // built once; forks restore over it anyway
   Stats stats_;
@@ -207,10 +206,3 @@ class MultiverseService {
 };
 
 }  // namespace vdbg::fleet
-
-namespace vdbg::vmm {
-/// The multiverse is conceptually a VMM debugging facility; it lives in
-/// the fleet layer only because it drives fleet workers.
-using Multiverse = ::vdbg::fleet::Multiverse;
-using MultiverseService = ::vdbg::fleet::MultiverseService;
-}  // namespace vdbg::vmm

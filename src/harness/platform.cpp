@@ -30,18 +30,6 @@ void Platform::prepare(const guest::RunConfig& rc) {
   if (const char* dir = std::getenv("VDBG_FLIGHT_DIR")) {  // NOLINT(concurrency-mt-unsafe)
     unit_.arm_flight_recorder(dir, "flight-" + std::to_string(getpid()));
   }
-
-  // Continuous-capture hook: with VDBG_FLIGHT_LOOP set (any non-empty
-  // value; a decimal number overrides the checkpoint interval), every
-  // monitor-carrying platform arms a FlightLoop so any moment of the run
-  // can answer "replay the last N million instructions".
-  if (const char* iv = std::getenv("VDBG_FLIGHT_LOOP")) {  // NOLINT(concurrency-mt-unsafe)
-    vmm::FlightLoop::Config fc;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(iv, &end, 10);
-    if (end != iv && *end == '\0' && v > 0) fc.interval = v;
-    unit_.arm_flight_loop(fc);
-  }
 }
 
 }  // namespace vdbg::harness

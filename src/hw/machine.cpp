@@ -165,14 +165,18 @@ u64 Machine::next_instr_boundary(u64 cap) const {
   return std::min(stop, cpu_->profiler().next_sample());
 }
 
-int Machine::add_instr_hook(u64 every, InstrHook hook) {
+int Machine::add_instr_hook(u64 every, InstrHook hook, bool charges) {
   HookSlot h;
   h.id = next_hook_id_++;
   h.every = std::max<u64>(1, every);
   h.next = (cpu_->stats().instructions / h.every + 1) * h.every;
+  h.charges = charges;
   h.fn = std::move(hook);
+  const int id = h.id;
   instr_hooks_.push_back(std::move(h));
-  return instr_hooks_.back().id;
+  std::stable_partition(instr_hooks_.begin(), instr_hooks_.end(),
+                        [](const HookSlot& s) { return s.charges; });
+  return id;
 }
 
 void Machine::remove_instr_hook(int id) {

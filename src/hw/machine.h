@@ -90,13 +90,15 @@ class Machine final : public Clock {
 
   /// Periodic instruction-count hooks (time-travel checkpointer, flight
   /// loop). Each fires between CPU slices at the first opportunity
-  /// at-or-after every multiple of `every` retired instructions. Anchored
-  /// at absolute multiples, so a restored run re-fires at exactly the
-  /// boundaries the original run used; when several hooks are due at one
-  /// boundary they fire in registration order. Returns an id for
-  /// remove_instr_hook(). `every` must be nonzero.
+  /// at-or-after every multiple of `every` retired instructions, anchored
+  /// at absolute multiples. When several hooks are due at one boundary,
+  /// hooks that charge simulated cycles (`charges`) fire first, then the
+  /// rest, each group in registration order. So a capture taken at a
+  /// boundary holds every charge made there, and a run restored from it
+  /// re-fires every hook at exactly the later boundaries the original run
+  /// used. Returns an id for remove_instr_hook(). `every` must be nonzero.
   using InstrHook = std::function<void(u64 icount)>;
-  int add_instr_hook(u64 every, InstrHook hook);
+  int add_instr_hook(u64 every, InstrHook hook, bool charges);
   void remove_instr_hook(int id);
 
   /// Registers every component's counters with a metrics registry
@@ -171,6 +173,7 @@ class Machine final : public Clock {
     int id = 0;
     u64 every = 0;
     u64 next = ~u64{0};  // next firing boundary (absolute icount)
+    bool charges = false;
     InstrHook fn;
   };
   std::vector<HookSlot> instr_hooks_;  // snap:skip(host callback wiring)

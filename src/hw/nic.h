@@ -87,7 +87,6 @@ class Nic final : public IoDevice {
   u64 errors() const { return errors_; }
   u64 frames_received() const { return rx_frames_; }
   u64 rx_dropped() const { return rx_dropped_; }
-  bool engine_active() const { return engine_active_; }
 
   /// Registers hw.nic.* counters and queue-depth gauges.
   void register_metrics(MetricsRegistry& reg) {
@@ -113,14 +112,12 @@ class Nic final : public IoDevice {
   /// frame: shifts each TX-complete interrupt by the same amount, i.e. a
   /// guest-visible latency perturbation.
   void set_wire_delay_extra(Cycles extra) { wire_delay_extra_ = extra; }
-  Cycles wire_delay_extra() const { return wire_delay_extra_; }
   /// Swaps each of the next `pairs` adjacent completed-frame pairs on the
   /// wire sink (bounded packet reordering). Guest-invisible; observers of
   /// the wire see the reordered delivery. A frame held for a swap flushes
   /// with its partner; if transmission stops for good mid-pair the held
   /// frame is never delivered (the bound is in completed pairs).
   void set_tx_swap_pairs(u64 pairs) { tx_swap_pairs_ = pairs; }
-  u64 tx_swap_pairs() const { return tx_swap_pairs_; }
 
   /// Snapshot support: registers, counters and the in-flight frame (the
   /// frame bytes themselves are saved because guest memory may have been

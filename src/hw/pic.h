@@ -52,7 +52,6 @@ class Pic final : public cpu::IntrLine, public IrqSink {
   u8 spurious_vector() const { return master_.offset + 7; }
 
   u64 acks() const { return acks_; }
-  u64 spurious_acks() const { return spurious_; }
 
   /// Registers <prefix>.acks / <prefix>.spurious. The prefix distinguishes
   /// the physical PIC ("hw.pic") from the monitor's virtual one

@@ -91,7 +91,6 @@ class ScsiDisk final : public IoDevice {
   void set_command_overhead_extra(Cycles extra) {
     command_overhead_extra_ = extra;
   }
-  Cycles command_overhead_extra() const { return command_overhead_extra_; }
 
   bool busy() const { return busy_; }
   u64 requests_completed() const { return completed_; }

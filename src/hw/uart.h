@@ -45,9 +45,6 @@ class Uart final : public IoDevice {
   /// Sink receiving each byte the target transmits (after serialisation).
   void set_tx_sink(std::function<void(u8)> sink) { tx_sink_ = std::move(sink); }
 
-  bool rx_pending() const { return !rx_.empty(); }
-  std::size_t tx_in_flight() const { return tx_.size() + (tx_busy_ ? 1 : 0); }
-
   u64 rx_bytes() const { return rx_bytes_; }
   u64 tx_bytes() const { return tx_bytes_; }
 

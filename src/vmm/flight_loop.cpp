@@ -16,8 +16,8 @@ u64 FlightLoop::icount() const {
 void FlightLoop::arm() {
   if (armed_) return;
   armed_ = true;
-  hook_id_ = machine().add_instr_hook(cfg_.interval,
-                                      [this](u64 ic) { on_boundary(ic); });
+  hook_id_ = machine().add_instr_hook(
+      cfg_.interval, [this](u64 ic) { on_boundary(ic); }, /*charges=*/false);
   if (cfg_.profile_interval != 0) {
     machine().cpu().profiler().configure(cfg_.profile_interval, icount());
   }
@@ -30,32 +30,18 @@ void FlightLoop::disarm() {
   hook_id_ = 0;
 }
 
-TimeTravel::Checkpoint FlightLoop::capture(u64 ic) const {
-  TimeTravel::Checkpoint cp;
-  cp.icount = ic;
-  cp.cycles = machine().now();
-  SnapshotWriter w;
-  // Always delta: the ring holds several captures of one steadily-mutating
-  // machine, the exact workload COW sharing exists for. No simulated-cycle
-  // charge — the flight loop is an observer, not a debugger feature the
-  // guest pays for.
-  cp.mem = machine().mem().capture_cow();
-  machine().save(w, /*external_mem=*/true);
-  mon_.save(w);
-  cp.bytes = w.finish();
-  cp.stored_bytes = cp.bytes.size() + cp.mem.retained_bytes();
-  return cp;
-}
-
 void FlightLoop::on_boundary(u64 ic) {
   if (frozen_) return;
-  // A verify replay re-crosses boundaries already in the ring; the state
-  // there is bit-identical by determinism, so skip the re-capture (and the
-  // duplicate series point).
+  // A verify replay re-crosses boundaries already in the ring. Skip them:
+  // the state there is bit-identical by determinism, the entries' trace
+  // cursors must not move before verify_window re-anchors them, and the
+  // series must not gain a duplicate point.
   if (!ring_.empty() && ic <= ring_.back().cp.icount) return;
 
+  // No simulated-cycle charge: the flight loop is an observer, not a
+  // debugger feature the guest pays for.
   Entry e;
-  e.cp = capture(ic);
+  e.cp = capture_checkpoint(mon_);
   const ExitTracer* tracer = mon_.tracer();
   e.trace_cursor = tracer ? tracer->recorded() : 0;
   ring_.push_back(std::move(e));
@@ -110,20 +96,6 @@ u64 FlightLoop::replayable_instructions() const {
   return icount() - ring_.front().cp.icount;
 }
 
-hw::Machine::StopReason FlightLoop::replay_to(u64 target) {
-  ++stats_.replays;
-  for (;;) {
-    const auto r = machine().run_to_instruction(target, cfg_.replay_budget);
-    if (r == hw::Machine::StopReason::kGuestExit) {
-      // The guest's diag-port exit re-fires during replay; the original
-      // timeline continued past it, so clear the latch and keep going.
-      machine().clear_guest_exit();
-      continue;
-    }
-    return r;
-  }
-}
-
 bool FlightLoop::verify_window(std::string* error) {
   auto fail = [&](std::string why) {
     ++stats_.verify_failures;
@@ -147,15 +119,11 @@ bool FlightLoop::verify_window(std::string* error) {
   const auto recorded_tail = tracer->tail(cmp);
   const u64 recorded_before = tracer->recorded();
 
-  if (!TimeTravel::restore_checkpoint_into(machine(), &mon_, oldest.cp)) {
+  if (!restore_checkpoint(machine(), &mon_, oldest.cp)) {
     return fail("checkpoint restore failed");
   }
-  // Replayed device output must not be delivered to the host twice.
-  machine().uart().set_tx_muted(true);
-  machine().nic().set_wire_muted(true);
-  const auto r = replay_to(origin);
-  machine().uart().set_tx_muted(false);
-  machine().nic().set_wire_muted(false);
+  ++stats_.replays;
+  const auto r = replay_to(mon_, origin, cfg_.replay_budget);
   if (icount() != origin) {
     return fail("replay stopped short at icount " + std::to_string(icount()) +
                 " (reason " + std::to_string(static_cast<int>(r)) + ")");

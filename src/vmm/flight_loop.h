@@ -4,8 +4,8 @@
 // window behind the live position:
 //
 //   - a ring of copy-on-write delta checkpoints taken every `interval`
-//     retired instructions (same stream format as TimeTravel checkpoints,
-//     restored through TimeTravel::restore_checkpoint_into);
+//     retired instructions (vmm/checkpoint.h, the engine TimeTravel and
+//     multiverse forks use too);
 //   - the trace-ring cursor at each checkpoint, so the events recorded
 //     since the oldest checkpoint are exactly the window's trace tail;
 //   - a bounded metrics time-series (SeriesRing) sampled at the same
@@ -31,7 +31,8 @@
 #include <string>
 
 #include "common/series.h"
-#include "vmm/time_travel.h"
+#include "vmm/checkpoint.h"
+#include "vmm/lvmm.h"
 
 namespace vdbg::vmm {
 
@@ -116,18 +117,14 @@ class FlightLoop {
 
  private:
   struct Entry {
-    TimeTravel::Checkpoint cp;
+    Checkpoint cp;
     u64 trace_cursor = 0;  // tracer->recorded() at capture time
   };
 
   hw::Machine& machine() const { return mon_.machine(); }
   u64 icount() const;
   void on_boundary(u64 ic);
-  TimeTravel::Checkpoint capture(u64 ic) const;
   void evict();
-  /// Forward re-execution to `target`, clearing guest-exit latches that
-  /// re-fire during replay.
-  hw::Machine::StopReason replay_to(u64 target);
 
   Lvmm& mon_;
   Config cfg_;

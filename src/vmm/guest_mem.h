@@ -74,7 +74,6 @@ class GuestMemory final : public TranslationListener {
     cache_enabled_ = on;
     if (!on) flush_cache();
   }
-  bool translation_cache_enabled() const { return cache_enabled_; }
 
   /// Translates a guest-virtual address under the guest's own paging
   /// config. Identity (bounds-checked only) while guest paging is off.

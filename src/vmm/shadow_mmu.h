@@ -102,7 +102,6 @@ class ShadowMmu {
   // --- statistics ---
   u64 syncs() const { return syncs_; }
   u64 flushes() const { return flushes_; }
-  u64 pt_write_invalidations() const { return pt_invals_; }
   u64 pool_in_use() const { return pool_used_; }
 
   /// Snapshot support. The table contents themselves live in PhysMem (the

@@ -15,8 +15,11 @@ u64 TimeTravel::icount() const {
 void TimeTravel::enable() {
   if (enabled_) return;
   enabled_ = true;
-  hook_id_ = machine().add_instr_hook(cfg_.interval,
-                                      [this](u64 ic) { on_boundary(ic); });
+  // Charge before capturing so the checkpoint holds the post-charge state:
+  // restoring it resumes *after* that boundary's checkpoint work, and the
+  // next replayed boundary re-charges its own.
+  hook_id_ = machine().add_instr_hook(
+      cfg_.interval, [this](u64) { checkpoint_now(); }, /*charges=*/true);
 }
 
 void TimeTravel::disable() {
@@ -33,6 +36,9 @@ void TimeTravel::disable() {
 void TimeTravel::charge_checkpoint() {
   // Per *resident* page: a pure function of guest state at the boundary, so
   // a replay reaching the same boundary re-charges the identical amount.
+  // Charging per fresh page instead would tie the cost to host-side capture
+  // history (a resume-anchored checkpoint resets freshness) and break
+  // replay cycle-identity.
   const auto& costs = mon_.config().costs;
   const u64 pages = machine().mem().nonzero_pages();
   const Cycles cost = costs.checkpoint_base + costs.checkpoint_per_page * pages;
@@ -40,39 +46,14 @@ void TimeTravel::charge_checkpoint() {
   stats_.checkpoint_charged_cycles += cost;
 }
 
-std::vector<u8> TimeTravel::serialize() const {
-  SnapshotWriter w;
-  machine().save(w);
-  mon_.save(w);
-  return w.finish();
-}
-
-TimeTravel::Checkpoint TimeTravel::make_checkpoint(u64 ic) {
-  Checkpoint cp;
-  cp.icount = ic;
-  cp.cycles = machine().now();
-  SnapshotWriter w;
-  if (cfg_.cow_delta) {
-    // Share the current memory image copy-on-write; the stream then only
-    // carries device/CPU/monitor state plus an external-contents marker.
-    cp.mem = machine().mem().capture_cow();
-    machine().save(w, /*external_mem=*/true);
-  } else {
-    machine().save(w);
-  }
-  mon_.save(w);
-  cp.bytes = w.finish();
-  cp.stored_bytes = cp.bytes.size() + cp.mem.retained_bytes();
-  return cp;
-}
-
 void TimeTravel::store_checkpoint(Checkpoint cp) {
   auto it = std::lower_bound(
       ring_.begin(), ring_.end(), cp.icount,
       [](const Checkpoint& c, u64 v) { return c.icount < v; });
   if (it != ring_.end() && it->icount == cp.icount) {
-    // A replay pass re-reached a boundary already in the ring; the state
-    // is bit-identical by determinism, so just refresh it.
+    // A replay pass re-reached a boundary already in the ring. Replace the
+    // entry: after a replay that diverged across older interactive stops,
+    // the ring then matches the timeline the machine is now in.
     *it = std::move(cp);
     return;
   }
@@ -83,27 +64,15 @@ void TimeTravel::store_checkpoint(Checkpoint cp) {
   while (ring_.size() > cfg_.ring) ring_.pop_front();
 }
 
-void TimeTravel::on_boundary(u64 boundary_icount) {
-  // Charge before serialising so the snapshot captures the post-charge
-  // state: restoring a checkpoint then resumes *after* that boundary's
-  // checkpoint work, and the next replayed boundary re-charges its own.
-  // The charge stays a function of *resident* pages even in delta mode —
-  // charging for fresh pages would make the cost depend on host-side
-  // capture history (e.g. a resume-anchored checkpoint resets freshness)
-  // and break replay cycle-identity.
-  charge_checkpoint();
-  store_checkpoint(make_checkpoint(boundary_icount));
-}
-
 bool TimeTravel::checkpoint_now() {
   charge_checkpoint();
-  Checkpoint cp = make_checkpoint(icount());
+  Checkpoint cp = capture_checkpoint(mon_);
   if (cp.bytes.empty()) return false;
   store_checkpoint(std::move(cp));
   return true;
 }
 
-const TimeTravel::Checkpoint* TimeTravel::newest_at_or_below(u64 ic) const {
+const Checkpoint* TimeTravel::newest_at_or_below(u64 ic) const {
   const Checkpoint* best = nullptr;
   for (const Checkpoint& c : ring_) {
     if (c.icount <= ic) best = &c;
@@ -115,21 +84,26 @@ const TimeTravel::Checkpoint* TimeTravel::newest_at_or_below(u64 ic) const {
 // Snapshot save/load (qVdbg.Snapshot)
 // --------------------------------------------------------------------------
 
-std::vector<u8> TimeTravel::save_state() const { return serialize(); }
+std::vector<u8> TimeTravel::save_state() const {
+  SnapshotWriter w;
+  machine().save(w);
+  mon_.save(w);
+  return w.finish();
+}
 
 bool TimeTravel::load_state(const std::vector<u8>& bytes) {
   const bool was_frozen = mon_.guest_frozen();
   Checkpoint cp;  // a full stream: no COW pages to adopt
   cp.bytes = bytes;
-  if (!restore_checkpoint(cp)) return false;
+  if (!restore(cp)) return false;
   if (was_frozen && !mon_.guest_frozen()) {
     freeze_quietly(StopReason::kStep);
   }
   return true;
 }
 
-bool TimeTravel::restore_checkpoint(const Checkpoint& cp) {
-  if (!restore_checkpoint_into(machine(), &mon_, cp)) return false;
+bool TimeTravel::restore(const Checkpoint& cp) {
+  if (!restore_checkpoint(machine(), &mon_, cp)) return false;
   ++stats_.restores;
   return true;
 }
@@ -141,8 +115,6 @@ bool TimeTravel::restore_checkpoint(const Checkpoint& cp) {
 void TimeTravel::begin_replay() {
   prev_delegate_ = mon_.debug_delegate();
   mon_.set_debug_delegate(this);
-  machine().uart().set_tx_muted(true);
-  machine().nic().set_wire_muted(true);
   replaying_ = true;
   replay_failed_ = false;
   held_ = false;
@@ -151,30 +123,14 @@ void TimeTravel::begin_replay() {
 void TimeTravel::end_replay() {
   mon_.set_debug_delegate(prev_delegate_);
   prev_delegate_ = nullptr;
-  machine().uart().set_tx_muted(false);
-  machine().nic().set_wire_muted(false);
   replaying_ = false;
   mode_ = Mode::kIdle;
 }
 
-hw::Machine::StopReason TimeTravel::replay_to(u64 target) {
+hw::Machine::StopReason TimeTravel::replay_pass(u64 target) {
   ++stats_.replay_passes;
   const u64 before = icount();
-  // A checkpoint taken at a stop (the stub anchors one at every c/s)
-  // resumes exactly as the stub resumed it, passing once over a breakpoint
-  // at the stop pc.
-  if (mon_.guest_frozen() && before < target) mon_.resume_guest();
-  hw::Machine::StopReason r;
-  for (;;) {
-    r = machine().run_to_instruction(target, cfg_.replay_budget);
-    if (r == hw::Machine::StopReason::kGuestExit) {
-      // The guest's diag-port exit re-fires during replay; the original
-      // timeline continued past it, so clear the latch and keep going.
-      machine().clear_guest_exit();
-      continue;
-    }
-    break;
-  }
+  const auto r = replay_to(mon_, target, cfg_.replay_budget);
   stats_.replayed_instructions += icount() - before;
   if (r == hw::Machine::StopReason::kBudget ||
       r == hw::Machine::StopReason::kShutdown ||
@@ -244,19 +200,6 @@ void TimeTravel::on_guest_stop(StopReason reason) {
   hold(reason);
 }
 
-bool TimeTravel::restore_checkpoint_into(hw::Machine& m, Lvmm* mon,
-                                         const Checkpoint& cp) {
-  SnapshotReader r(cp.bytes);
-  if (!r.ok()) return false;
-  // Adopt the COW image before walking the stream: the stream's PhysMem
-  // section is an external-contents sentinel, and the monitor's restore
-  // may consult guest memory.
-  if (!cp.mem.empty() && !m.mem().adopt_cow(cp.mem)) return false;
-  if (!m.restore(r)) return false;
-  if (mon && !mon->restore(r)) return false;
-  return true;
-}
-
 // --------------------------------------------------------------------------
 // Reverse execution
 // --------------------------------------------------------------------------
@@ -281,8 +224,8 @@ TimeTravel::ReverseStop TimeTravel::reverse_stepi() {
   begin_replay();
   mode_ = Mode::kLand;
   land_target_ = target;
-  if (restore_checkpoint(snap)) {
-    const auto r = replay_to(target);
+  if (restore(snap)) {
+    const auto r = replay_pass(target);
     if (held_) {
       out = {ReverseOutcome::kStopped, held_reason_, icount()};
     } else if (r == hw::Machine::StopReason::kInstrLimit && !replay_failed_) {
@@ -326,14 +269,14 @@ TimeTravel::ReverseStop TimeTravel::reverse_continue() {
     scan_inclusive_ = window_end != origin;
     hits_.clear();
     held_ = false;
-    if (!restore_checkpoint(cp)) {
+    if (!restore(cp)) {
       done = true;
       break;
     }
     // A breakpoint stops before its instruction retires, at the very
     // boundary a replay to its icount halts on: an inclusive end runs one
     // boundary further so a breakpoint there fires (the stop ends the pass).
-    replay_to(window_end + (scan_inclusive_ ? 1 : 0));
+    replay_pass(window_end + (scan_inclusive_ ? 1 : 0));
     if (replay_failed_) {
       done = true;
       break;
@@ -346,8 +289,8 @@ TimeTravel::ReverseStop TimeTravel::reverse_continue() {
       mode_ = Mode::kLand;
       land_target_ = target.icount;
       held_ = false;
-      if (restore_checkpoint(cp)) {
-        replay_to(target.icount + 1);
+      if (restore(cp)) {
+        replay_pass(target.icount + 1);
         if (held_) {
           out = {ReverseOutcome::kStopped, held_reason_, icount()};
         }
@@ -360,7 +303,7 @@ TimeTravel::ReverseStop TimeTravel::reverse_continue() {
   if (!done) {
     // No hit anywhere in recorded history: land on the oldest checkpoint.
     mode_ = Mode::kIdle;
-    if (restore_checkpoint(cands.back())) {
+    if (restore(cands.back())) {
       freeze_quietly(StopReason::kStep);
       out = {ReverseOutcome::kAtCheckpoint, StopReason::kStep, icount()};
     }

@@ -1,12 +1,12 @@
 // Time-travel debugging: periodic checkpoints plus replay.
 //
-// The controller snapshots the whole deterministic machine (Machine::save +
-// Lvmm::save in one checksummed stream) every `interval` retired guest
-// instructions, keeping a ring of the most recent checkpoints. Reverse
-// execution is checkpoint + re-execution: because the simulator is fully
-// deterministic, restoring a checkpoint and running forward reproduces the
-// original timeline bit for bit, so "backwards" is just "forwards from an
-// earlier save, stopping sooner".
+// The controller checkpoints the whole deterministic machine and monitor
+// (vmm/checkpoint.h) every `interval` retired guest instructions, keeping a
+// ring of the most recent checkpoints. Reverse execution is checkpoint +
+// re-execution: because the simulator is fully deterministic, restoring a
+// checkpoint and running forward reproduces the original timeline bit for
+// bit, so "backwards" is just "forwards from an earlier save, stopping
+// sooner".
 //
 //   reverse_stepi     restore the newest checkpoint at-or-below N-1, replay
 //                     to instruction boundary N-1 — exactly one retired
@@ -21,17 +21,17 @@
 //
 // During replay the controller swaps itself in as the monitor's
 // DebugDelegate (resuming through intermediate stops exactly as the stub's
-// `c` does) and mutes the UART/NIC host sinks so replayed output is not
-// delivered twice. Breakpoints and write watchpoints are the CPU's
-// host-side debug state, which no restore touches, so a replay stops at the
-// breakpoints and watches armed now; checkpoints never hold debugger bytes,
-// and arming a watch that never hits leaves the replayed timeline
-// cycle-identical to the original. Device timing, interrupts, and
-// every cycle charge are unchanged — the checkpoint charge itself
-// (checkpoint_base + checkpoint_per_page x resident pages, see costs.h) is
-// a pure function of guest state at the boundary and re-applied at the same
-// boundaries during replay, so a replayed timeline stays cycle-identical to
-// the original.
+// `c` does); each pass runs through vmm::replay_to, which mutes the
+// UART/NIC host sinks so replayed output is not delivered twice.
+// Breakpoints and write watchpoints are the CPU's host-side debug state,
+// which no restore touches, so a replay stops at the breakpoints and
+// watches armed now; checkpoints never hold debugger bytes, and arming a
+// watch that never hits leaves the replayed timeline cycle-identical to the
+// original. Device timing, interrupts, and every cycle charge are
+// unchanged — the checkpoint charge itself (checkpoint_base +
+// checkpoint_per_page x resident pages, see costs.h) is a pure function of
+// guest state at the boundary and re-applied at the same boundaries during
+// replay, so a replayed timeline stays cycle-identical to the original.
 //
 // Replay fidelity: replay cannot reproduce debugger wire traffic, so only
 // debugger-quiet windows replay bit-identically. The stub therefore anchors
@@ -51,6 +51,7 @@
 #include <deque>
 #include <vector>
 
+#include "vmm/checkpoint.h"
 #include "vmm/lvmm.h"
 
 namespace vdbg::vmm {
@@ -65,26 +66,6 @@ class TimeTravel final : public DebugDelegate {
     std::size_t ring = 8;
     /// Simulated-cycle budget for one replay pass.
     Cycles replay_budget = 4'000'000'000ULL;
-    /// Delta checkpoints: memory is captured as a shared copy-on-write page
-    /// table instead of being serialized into the stream, so a checkpoint
-    /// only pays for pages dirtied since the previous capture. Kill switch
-    /// for ablation (bench_checkpoint gates the byte drop).
-    bool cow_delta = true;
-  };
-
-  struct Checkpoint {
-    u64 icount = 0;      // retired instructions at save time
-    Cycles cycles = 0;   // simulated time at save time
-    /// Snapshot stream. In cow_delta mode the PhysMem section is an
-    /// external-contents sentinel and `mem` carries the actual pages.
-    std::vector<u8> bytes;
-    /// COW page-table capture (empty in full-stream mode). Copying a
-    /// Checkpoint retains the shared frames — cheap.
-    cpu::CowPages mem;
-    /// Marginal bytes this checkpoint keeps alive: stream size plus, in
-    /// delta mode, freshly-dirtied frames and the sparse index (frames
-    /// shared with older ring entries are not re-counted).
-    u64 stored_bytes = 0;
   };
 
   struct Stats {
@@ -115,6 +96,8 @@ class TimeTravel final : public DebugDelegate {
 
   /// Installs the periodic checkpoint hook on the machine (and takes no
   /// checkpoint itself — the first fires at the next interval boundary).
+  /// The hook charges simulated cycles, so it fires ahead of observer hooks
+  /// due at the same boundary (see Machine::add_instr_hook).
   void enable();
   void disable();
   bool enabled() const { return enabled_; }
@@ -162,13 +145,6 @@ class TimeTravel final : public DebugDelegate {
   ReverseStop reverse_stepi();
   ReverseStop reverse_continue();
 
-  /// Restores `cp` into an arbitrary identically-configured machine (+
-  /// monitor when non-null), adopting its COW pages when it has any: the
-  /// one routine that reads a stream into a machine. Static so fork
-  /// targets need not own a TimeTravel.
-  static bool restore_checkpoint_into(hw::Machine& m, Lvmm* mon,
-                                      const Checkpoint& cp);
-
   // --- DebugDelegate (installed only while replaying) ---
   void on_guest_stop(StopReason reason) override;
   void on_uart_activity() override;
@@ -182,23 +158,16 @@ class TimeTravel final : public DebugDelegate {
 
   hw::Machine& machine() const { return mon_.machine(); }
   u64 icount() const;
-  void on_boundary(u64 boundary_icount);
   void charge_checkpoint();
-  std::vector<u8> serialize() const;
-  /// Captures the machine+monitor at the current position (delta or full
-  /// per cfg_.cow_delta) without storing it in the ring.
-  Checkpoint make_checkpoint(u64 ic);
   void store_checkpoint(Checkpoint cp);
   const Checkpoint* newest_at_or_below(u64 ic) const;
-  /// restore_checkpoint_into this machine and monitor, counted in
+  /// restore_checkpoint into this machine and monitor, counted in
   /// stats().restores.
-  bool restore_checkpoint(const Checkpoint& cp);
+  bool restore(const Checkpoint& cp);
   void begin_replay();
   void end_replay();
-  /// Re-runs forward to `target` retired instructions, resuming a frozen
-  /// checkpoint first and clearing guest-exit latches that re-fire during
-  /// replay. Returns the final stop reason.
-  hw::Machine::StopReason replay_to(u64 target);
+  /// One replay pass: vmm::replay_to `target`, counted in stats().
+  hw::Machine::StopReason replay_pass(u64 target);
   /// Records a held stop and breaks the machine out of its run loop before
   /// the frozen-service (the stub) can run mid-replay.
   void hold(StopReason reason);

@@ -1,5 +1,5 @@
-// Unit tests for the common substrate: event queue, ring buffer, statistics,
-// Internet checksum, hex utilities, RNG determinism and unit conversions.
+// Unit tests for the common substrate: event queue, statistics, Internet
+// checksum, hex utilities, RNG determinism and unit conversions.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -8,7 +8,6 @@
 #include "common/checksum.h"
 #include "common/event_queue.h"
 #include "common/hexdump.h"
-#include "common/ring_buffer.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/units.h"
@@ -126,33 +125,6 @@ TEST(EventQueue, DeadlineObserverSeesEverySchedule) {
   });
   q.run_until(30);
   EXPECT_EQ(seen, (std::vector<Cycles>{50, 10, 20, 25}));
-}
-
-// ------------------------------------------------------------------ ring --
-TEST(RingBuffer, FifoOrderAndCapacity) {
-  RingBuffer<int, 4> rb;
-  EXPECT_TRUE(rb.empty());
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(rb.push(i));
-  EXPECT_TRUE(rb.full());
-  EXPECT_FALSE(rb.push(99));
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(rb.pop().value(), i);
-  EXPECT_FALSE(rb.pop().has_value());
-}
-
-TEST(RingBuffer, WrapsCorrectly) {
-  RingBuffer<int, 3> rb;
-  for (int round = 0; round < 10; ++round) {
-    EXPECT_TRUE(rb.push(round));
-    EXPECT_EQ(rb.pop().value(), round);
-  }
-}
-
-TEST(RingBuffer, PeekDoesNotConsume) {
-  RingBuffer<int, 2> rb;
-  rb.push(7);
-  EXPECT_EQ(rb.peek().value(), 7);
-  EXPECT_EQ(rb.size(), 1u);
-  EXPECT_EQ(rb.pop().value(), 7);
 }
 
 // ----------------------------------------------------------------- stats --

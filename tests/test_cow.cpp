@@ -295,9 +295,7 @@ std::unique_ptr<Platform> make_lvmm() {
 TEST(CowCheckpoint, DeltaRestoreIsByteIdenticalToFullSnapshot) {
   auto p = make_lvmm();
   auto& m = p->machine();
-  TimeTravel::Config cfg;
-  cfg.cow_delta = true;
-  TimeTravel tt(*p->monitor(), cfg);
+  TimeTravel tt(*p->monitor());
 
   ASSERT_EQ(m.run_for(seconds_to_cycles(0.01)), MStop::kBudget);
   ASSERT_TRUE(tt.checkpoint_now());
@@ -314,7 +312,7 @@ TEST(CowCheckpoint, DeltaRestoreIsByteIdenticalToFullSnapshot) {
   // multiverse uses (adopt the COW table, then replay the external-memory
   // stream over it).
   ASSERT_EQ(m.run_for(seconds_to_cycles(0.005)), MStop::kBudget);
-  ASSERT_TRUE(TimeTravel::restore_checkpoint_into(m, p->monitor(), cp));
+  ASSERT_TRUE(vmm::restore_checkpoint(m, p->monitor(), cp));
   EXPECT_EQ(tt.save_state(), full)
       << "delta checkpoint restored to different state than a full snapshot";
 }
@@ -323,9 +321,7 @@ TEST(CowCheckpoint, DeltaRestoreIsByteIdenticalToFullSnapshot) {
 TEST(CowCheckpoint, ConsecutiveCheckpointsStoreOnlyTheDelta) {
   auto p = make_lvmm();
   auto& m = p->machine();
-  TimeTravel::Config cfg;
-  cfg.cow_delta = true;
-  TimeTravel tt(*p->monitor(), cfg);
+  TimeTravel tt(*p->monitor());
 
   ASSERT_EQ(m.run_for(seconds_to_cycles(0.02)), MStop::kBudget);
   ASSERT_TRUE(tt.checkpoint_now());
@@ -343,27 +339,6 @@ TEST(CowCheckpoint, ConsecutiveCheckpointsStoreOnlyTheDelta) {
   EXPECT_GE(second.mem.resident_pages(), first.mem.resident_pages());
   EXPECT_GE(tt.stats().cow_fresh_pages,
             first.mem.fresh_pages() + second.mem.fresh_pages());
-}
-
-// Full (non-delta) mode still produces self-contained checkpoints and the
-// two modes restore to the same machine state.
-TEST(CowCheckpoint, FullModeCheckpointsRemainSelfContained) {
-  auto p = make_lvmm();
-  auto& m = p->machine();
-  TimeTravel::Config cfg;
-  cfg.cow_delta = false;
-  TimeTravel tt(*p->monitor(), cfg);
-
-  ASSERT_EQ(m.run_for(seconds_to_cycles(0.01)), MStop::kBudget);
-  ASSERT_TRUE(tt.checkpoint_now());
-  const auto& cp = tt.checkpoints().back();
-  EXPECT_TRUE(cp.mem.empty());
-  EXPECT_EQ(cp.stored_bytes, cp.bytes.size());
-
-  const auto here = tt.save_state();
-  ASSERT_EQ(m.run_for(seconds_to_cycles(0.002)), MStop::kBudget);
-  ASSERT_TRUE(TimeTravel::restore_checkpoint_into(m, p->monitor(), cp));
-  EXPECT_EQ(tt.save_state(), here);
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
 // Flight-loop tests: the continuous-capture ring must be able to prove, at
 // any moment, that restore + deterministic re-execution reproduces the
-// recorded trace tail bit for bit (under every execution tier), eviction
-// must keep the checkpoint and trace windows aligned, the PC sampling
-// profiler must be byte-identical across runs and across time-travel
-// replay, and the metrics time series must answer qVdbg.MetricsHistory
-// over the RSP wire.
+// recorded trace tail bit for bit (under every execution tier, and with
+// time travel checkpointing beside it), replayed output must never reach
+// the host sinks, eviction must keep the checkpoint and trace windows
+// aligned, the PC sampling profiler must be byte-identical across runs and
+// across time-travel replay, and the metrics time series must answer
+// qVdbg.MetricsHistory over the RSP wire.
 #include <gtest/gtest.h>
 
 #include "common/units.h"
@@ -14,6 +15,7 @@
 #include "guest/minitactix.h"
 #include "harness/platform.h"
 #include "vmm/flight_loop.h"
+#include "vmm/time_travel.h"
 #include "vmm/trace.h"
 
 namespace vdbg::test {
@@ -25,6 +27,7 @@ using harness::Platform;
 using harness::PlatformKind;
 using vmm::ExitTracer;
 using vmm::FlightLoop;
+using vmm::TimeTravel;
 using MStop = hw::Machine::StopReason;
 
 std::unique_ptr<Platform> make_lvmm() {
@@ -167,6 +170,86 @@ TEST(FlightLoopWindow, VerifyLeavesDebuggerWatchpointsArmed) {
   std::string why;
   EXPECT_TRUE(fl.verify_window(&why)) << why;
   EXPECT_EQ(cpu.watchpoint_count(), 1u);
+}
+
+// Time travel's checkpoint charge and the loop's capture can fall due at
+// one boundary. The charge must fire first whatever the arming order, or
+// the capture misses it, the restore re-anchors past that boundary, and
+// the replayed window runs without it.
+TEST(FlightLoopWindow, VerifyHoldsWithTimeTravelEnabledAfterTheLoop) {
+  for (const u64 interval : {u64{20'000}, u64{50'000}}) {
+    auto p = make_lvmm();
+    ExitTracer tracer(4096);
+    tracer.set_enabled(true);
+    p->monitor()->set_tracer(&tracer);
+
+    FlightLoop::Config cfg;
+    cfg.interval = interval;
+    FlightLoop fl(*p->monitor(), cfg);
+    fl.arm();
+    TimeTravel::Config tcfg;
+    tcfg.interval = interval;
+    TimeTravel tt(*p->monitor(), tcfg);
+    tt.enable();
+
+    ASSERT_EQ(p->machine().run_for(seconds_to_cycles(0.03)), MStop::kBudget);
+    ASSERT_GT(tt.stats().checkpoints, 0u);
+    std::string why;
+    EXPECT_TRUE(fl.verify_window(&why)) << "interval " << interval << ": "
+                                        << why;
+  }
+}
+
+// Replayed output never reaches the host sinks twice: neither the window
+// proof nor a reverse execution delivers a frame or a debug-link byte
+// again, and both leave the sinks unmuted.
+TEST(FlightLoopWindow, ReplayedOutputNeverReachesTheHostSinks) {
+  auto p = make_lvmm();
+  ExitTracer tracer(4096);
+  tracer.set_enabled(true);
+  p->monitor()->set_tracer(&tracer);
+  hw::Uart& uart = p->machine().uart();
+  hw::Nic& nic = p->machine().nic();
+  u64 uart_bytes = 0;
+  uart.set_tx_sink([&uart_bytes](u8) { ++uart_bytes; });
+
+  TimeTravel::Config tcfg;
+  tcfg.interval = 20'000;
+  tcfg.ring = 64;
+  TimeTravel tt(*p->monitor(), tcfg);
+  tt.enable();
+  FlightLoop::Config cfg;
+  cfg.interval = 20'000;
+  FlightLoop fl(*p->monitor(), cfg);
+  fl.arm();
+  ASSERT_EQ(p->machine().run_for(seconds_to_cycles(0.03)), MStop::kBudget);
+
+  u64 frames = p->sink().frames();
+  ASSERT_GT(frames, 0u);
+  std::string why;
+  ASSERT_TRUE(fl.verify_window(&why)) << why;
+  EXPECT_EQ(p->sink().frames(), frames);
+  EXPECT_EQ(uart_bytes, 0u);
+  EXPECT_FALSE(uart.tx_muted());
+  EXPECT_FALSE(nic.wire_muted());
+
+  // Bytes on the debug link, as the stub's reply to a resume would be,
+  // with a checkpoint anchored while they are still in flight.
+  const std::string_view reply = "$OK#9a";
+  for (const char c : reply) uart.io_write(0, static_cast<u8>(c));
+  ASSERT_TRUE(tt.checkpoint_now());
+  ASSERT_EQ(p->machine().run_for(seconds_to_cycles(0.002)), MStop::kBudget);
+  ASSERT_EQ(uart_bytes, reply.size());
+  frames = p->sink().frames();
+
+  p->monitor()->freeze_guest(vmm::DebugDelegate::StopReason::kStep);
+  const auto r = tt.reverse_continue();
+  EXPECT_EQ(r.outcome, TimeTravel::ReverseOutcome::kAtCheckpoint);
+  EXPECT_GT(tt.stats().replayed_instructions, 0u);
+  EXPECT_EQ(p->sink().frames(), frames);
+  EXPECT_EQ(uart_bytes, reply.size());
+  EXPECT_FALSE(uart.tx_muted());
+  EXPECT_FALSE(nic.wire_muted());
 }
 
 // ---------------------------------------------------------- profiler ----

@@ -250,9 +250,7 @@ TEST(MultiverseExplore, ControlTimelineIsUnperturbedAndClassified) {
 // timer line, and the winning timeline must replay bit-identically.
 TEST(MultiverseBugTrap, IsolatesTimerDelayToAOneKnobDelta) {
   RacyRig rig(probe_tick_slot() + 1);
-  TimeTravel::Config tcfg;
-  tcfg.cow_delta = true;
-  TimeTravel tt(*rig.unit.monitor(), tcfg);
+  TimeTravel tt(*rig.unit.monitor());
   ASSERT_TRUE(tt.checkpoint_now());
   ASSERT_GT(tt.checkpoints().back().mem.resident_pages(), 0u)
       << "delta checkpoint should carry the memory image as COW frames";
