@@ -122,7 +122,7 @@ int main() {
   {
     Platform p(PlatformKind::kLvmm);
     p.prepare(guest::RunConfig());
-    vmm::DebugStub stub(*p.monitor(), p.machine().uart());
+    vmm::DebugStub stub(*p.monitor(), p.machine().uart(), p.metrics());
     stub.attach();
     debug::RemoteDebugger dbg(p.machine());
     dbg.connect();
@@ -131,8 +131,12 @@ int main() {
     p.machine().run_for(seconds_to_cycles(0.01));
 
     const bool machine_alive = !p.machine().cpu().shutdown();
-    const bool crashed = dbg.target_crashed();
-    const bool intact = dbg.monitor_intact();
+    const auto health = dbg.metrics("vmm.health.").value_or(
+        std::vector<debug::RemoteMetric>{});
+    const bool crashed =
+        debug::find_metric(health, "vmm.health.guest_crashed") == 1.0;
+    const bool intact =
+        debug::find_metric(health, "vmm.health.monitor_intact") == 1.0;
     const auto regs = dbg.read_registers();
     const auto mem = dbg.read_memory(guest::kMailboxBase, 16);
     const bool post_mortem = regs.has_value() && mem.has_value();

@@ -32,7 +32,8 @@ Result run_scenario(int scenario) {
   std::unique_ptr<debug::RemoteDebugger> dbg;
   if (scenario >= 1) {
     stub = std::make_unique<vmm::DebugStub>(*p.monitor(),
-                                            p.machine().uart());
+                                            p.machine().uart(),
+                                            p.metrics());
     stub->attach();
     dbg = std::make_unique<debug::RemoteDebugger>(p.machine());
     dbg->connect();

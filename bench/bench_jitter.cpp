@@ -28,7 +28,8 @@ Row measure(PlatformKind kind, bool polling) {
   std::unique_ptr<debug::RemoteDebugger> dbg;
   if (polling) {
     stub = std::make_unique<vmm::DebugStub>(*p.monitor(),
-                                            p.machine().uart());
+                                            p.machine().uart(),
+                                            p.metrics());
     stub->attach();
     dbg = std::make_unique<debug::RemoteDebugger>(p.machine());
     dbg->connect();

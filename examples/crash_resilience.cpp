@@ -83,7 +83,7 @@ int main() {
   harness::Platform p(harness::PlatformKind::kLvmm);
   p.prepare(guest::RunConfig::for_rate_mbps(60.0));
   plant_bug(p);  // before anything runs: the buggy app ships in the image
-  vmm::DebugStub stub(*p.monitor(), p.machine().uart());
+  vmm::DebugStub stub(*p.monitor(), p.machine().uart(), p.metrics());
   stub.attach();
   debug::RemoteDebugger dbg(p.machine());
   dbg.add_symbols(p.image().kernel);
@@ -97,11 +97,16 @@ int main() {
   std::printf("machine state: %s\n", p.machine().cpu().shutdown()
                                          ? "shut down"
                                          : "running (monitor alive)");
+  const auto health = dbg.metrics("vmm.health.").value_or(
+      std::vector<debug::RemoteMetric>{});
+  const bool crashed =
+      debug::find_metric(health, "vmm.health.guest_crashed") == 1.0;
+  const bool intact =
+      debug::find_metric(health, "vmm.health.monitor_intact") == 1.0;
   std::printf("guest state:   %s\n",
-              dbg.target_crashed() ? "crashed (virtual triple fault)"
-                                   : "running");
+              crashed ? "crashed (virtual triple fault)" : "running");
   std::printf("monitor mem:   %s\n",
-              dbg.monitor_intact() ? "intact (canary verified)" : "CORRUPT");
+              intact ? "intact (canary verified)" : "CORRUPT");
 
   std::printf("\npost-mortem over the serial link:\n");
   const auto regs = dbg.read_registers();
@@ -126,8 +131,8 @@ int main() {
                 w(guest::Mailbox::kSegmentsSent), w(guest::Mailbox::kTicks));
   }
 
-  const bool ok = !p.machine().cpu().shutdown() && dbg.target_crashed() &&
-                  dbg.monitor_intact() && regs.has_value();
+  const bool ok = !p.machine().cpu().shutdown() && crashed && intact &&
+                  regs.has_value();
   std::printf("\ncrash_resilience: %s\n", ok ? "OK" : "FAILED");
   return ok ? 0 : 1;
 }

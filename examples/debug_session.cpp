@@ -31,7 +31,8 @@ int main() {
   platform.prepare(rc);
   platform.sink().set_payload_validator(guest::make_stream_validator(rc));
 
-  vmm::DebugStub stub(*platform.monitor(), platform.machine().uart());
+  vmm::DebugStub stub(*platform.monitor(), platform.machine().uart(),
+                       platform.metrics());
   stub.attach();
 
   RemoteDebugger dbg(platform.machine());

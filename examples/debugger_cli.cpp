@@ -95,7 +95,8 @@ int main(int argc, char** argv) {
   harness::Platform platform(harness::PlatformKind::kLvmm);
   platform.prepare(guest::RunConfig::for_rate_mbps(60.0));
 
-  vmm::DebugStub stub(*platform.monitor(), platform.machine().uart());
+  vmm::DebugStub stub(*platform.monitor(), platform.machine().uart(),
+                       platform.metrics());
   stub.attach();
   vmm::ExitTracer tracer;
   platform.monitor()->set_tracer(&tracer);
@@ -104,6 +105,7 @@ int main(int argc, char** argv) {
   // `history` and `window`.
   vmm::FlightLoop flight_loop(*platform.monitor());
   flight_loop.set_metrics(&platform.metrics());
+  flight_loop.register_metrics(platform.metrics());
   flight_loop.arm();
   stub.set_flight_loop(&flight_loop);
 
@@ -111,6 +113,7 @@ int main(int argc, char** argv) {
   // available (the stub anchors extra checkpoints at every resume).
   vmm::TimeTravel tt(*platform.monitor());
   stub.set_time_travel(&tt);
+  tt.register_metrics(platform.metrics());
   tt.enable();
 
   // `multiverse <k>` / `bugtrap <pred>` fork perturbed COW timelines from
@@ -119,8 +122,7 @@ int main(int argc, char** argv) {
   mvcfg.run = guest::RunConfig::for_rate_mbps(60.0);
   fleet::MultiverseService multiverse(stub, tt, mvcfg);
 
-  // `metrics [prefix]` and `dump` route through these over the wire.
-  stub.set_metrics(&platform.metrics());
+  // `dump` writes a flight bundle through this over the wire.
   vmm::FlightRecorder::Config fc;
   fc.file_prefix = "debugger-cli-flight";
   vmm::FlightRecorder flight(*platform.monitor(), fc);

@@ -73,13 +73,14 @@ bool MetricsRegistry::add_histogram(std::string name, const u32* buckets,
 
 // thread:any(externally synchronized - each registry is owned by one machine and only touched by the thread driving it)
 std::vector<MetricsRegistry::Sample> MetricsRegistry::snapshot(
-    bool replay_exact_only) const {
+    bool replay_exact_only, std::string_view prefix) const {
   ++reads_;
   std::vector<Sample> out;
   if (!enabled_) return out;
-  out.reserve(metrics_.size());
+  if (prefix.empty()) out.reserve(metrics_.size());
   for (const Entry& e : metrics_) {
     if (replay_exact_only && !e.replay_exact) continue;
+    if (!e.name.starts_with(prefix)) continue;
     Sample s;
     s.name = e.name;
     s.kind = e.kind;

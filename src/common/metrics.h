@@ -74,10 +74,14 @@ class MetricsRegistry {
 
   std::size_t size() const { return metrics_.size(); }
 
-  /// Current value of every metric, in registration order. When
-  /// `replay_exact_only` is set, host-side metrics are filtered out so
-  /// the result is comparable across an original run and its replay.
-  std::vector<Sample> snapshot(bool replay_exact_only = false) const;
+  /// Current value of every metric whose name starts with `prefix` (all
+  /// of them when it is empty), in registration order. The name test runs
+  /// before a slot is read or a gauge computed, so a narrow read costs
+  /// only what it returns. When `replay_exact_only` is set, host-side
+  /// metrics are filtered out so the result is comparable across an
+  /// original run and its replay.
+  std::vector<Sample> snapshot(bool replay_exact_only = false,
+                               std::string_view prefix = {}) const;
 
   /// Current value of one counter or gauge by exact name (counters are
   /// widened to double). nullopt when unknown, disabled, or a histogram.

@@ -208,6 +208,11 @@ class Cpu {
                     /*replay_exact=*/false);
     reg.add_counter("cpu.sbc.mem_fallbacks", &sbc_stats_.mem_fallbacks,
                     /*replay_exact=*/false);
+    // 1 while superblocks run guest code, 0 on the reference interpreter.
+    // Both retire bit-identical state, so this is host configuration.
+    reg.add_gauge(
+        "cpu.sbc.enabled", [this] { return superblocks_enabled() ? 1.0 : 0.0; },
+        /*replay_exact=*/false);
     // Fraction of dispatcher entries that found their block translated
     // already (every translation is followed by one entry).
     reg.add_gauge(

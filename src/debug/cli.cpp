@@ -185,8 +185,8 @@ bool DebuggerCli::execute(const std::string& line) {
     show_stop(k);
   } else if (cmd == "checkpoint") {
     if (dbg_.take_checkpoint()) {
-      const auto count = dbg_.checkpoint_count();
-      out_ << "checkpoint taken (" << (count ? *count : 0) << " in ring)\n";
+      const auto depth = dbg_.metric("vmm.tt.ring_depth");
+      out_ << "checkpoint taken (" << u64(depth.value_or(0)) << " in ring)\n";
     } else {
       out_ << "error: no time-travel controller\n";
     }
@@ -323,19 +323,28 @@ bool DebuggerCli::execute(const std::string& line) {
       out_ << "error: trace on|off|show [n]\n";
     }
   } else if (cmd == "exits") {
-    const auto stats = dbg_.exit_stats();
-    if (!stats) {
+    // vmm.exit_<kind>.{count,cycles,max_cycles} per exit kind, in enum
+    // order, each kind's count before its cycles.
+    const std::string family = "vmm.exit_";
+    const auto stats = dbg_.metrics(family);
+    if (!stats || stats->empty()) {
       out_ << "error: no exit stats\n";
     } else {
-      if (const auto tier = dbg_.exec_tier()) {
-        out_ << "  tier: " << *tier << "\n";
+      if (const auto sbc = dbg_.metric("cpu.sbc.enabled")) {
+        out_ << "  tier: " << (*sbc != 0 ? "superblock" : "interp") << "\n";
       }
       out_ << "  kind      count       cycles   mean\n";
-      for (const auto& s : *stats) {
-        if (s.count == 0) continue;
-        out_ << "  " << std::left << std::setw(8) << s.kind << std::right
-             << std::setw(9) << s.count << std::setw(13) << s.cycles
-             << std::setw(7) << (s.cycles / s.count) << "\n";
+      u64 count = 0;
+      for (const auto& m : *stats) {
+        const auto dot = m.name.rfind('.');
+        const std::string field = m.name.substr(dot + 1);
+        if (field == "count") count = u64(m.value);
+        if (field != "cycles" || count == 0) continue;
+        const u64 cycles = u64(m.value);
+        out_ << "  " << std::left << std::setw(8)
+             << m.name.substr(family.size(), dot - family.size())
+             << std::right << std::setw(9) << count << std::setw(13)
+             << cycles << std::setw(7) << (cycles / count) << "\n";
       }
     }
   } else if (cmd == "metrics") {
@@ -388,20 +397,22 @@ bool DebuggerCli::execute(const std::string& line) {
       const auto n = tok.size() >= 2 ? parse_dec(tok[1])
                                      : std::optional<unsigned>(10);
       const auto prof = n ? dbg_.profile(*n) : std::nullopt;
+      // Shares are of every sample taken, not of the rows fetched; the
+      // count is read after the rows, so it covers them.
+      const auto total =
+          prof ? dbg_.metric("cpu.profile.samples") : std::nullopt;
       if (!n) {
         out_ << "error: profile [n|folded|start <interval>|stop]\n";
-      } else if (!prof) {
+      } else if (!prof || !total) {
         out_ << "error: no profiler\n";
       } else if (prof->empty()) {
         out_ << "  (no samples)\n";
       } else {
-        u64 total = 0;
-        for (const auto& e : *prof) total += e.count;
         out_ << "  samples   %     pc\n";
         for (const auto& e : *prof) {
           out_ << "  " << std::setw(7) << e.count << std::setw(6)
                << std::fixed << std::setprecision(1)
-               << (100.0 * double(e.count) / double(total))
+               << (100.0 * double(e.count) / *total)
                << std::defaultfloat << "  0x" << std::hex << std::setw(8)
                << std::setfill('0') << e.pc << std::dec << std::setfill(' ')
                << "  " << dbg_.describe(e.pc) << "\n";
@@ -423,12 +434,16 @@ bool DebuggerCli::execute(const std::string& line) {
       }
     }
   } else if (cmd == "window") {
-    const auto w = dbg_.flight_window();
-    if (!w) {
+    // Both ends come from one read, so they describe the same instant.
+    const auto w = dbg_.metrics("vmm.flight.window_")
+                       .value_or(std::vector<RemoteMetric>{});
+    const auto begin = find_metric(w, "vmm.flight.window_begin");
+    const auto len = find_metric(w, "vmm.flight.window_instructions");
+    if (!begin || !len) {
       out_ << "error: no flight loop\n";
     } else {
-      out_ << "replayable window: instructions " << w->first << ".."
-           << w->second << " (" << (w->second - w->first) << " total)\n";
+      out_ << "replayable window: instructions " << u64(*begin) << ".."
+           << u64(*begin + *len) << " (" << u64(*len) << " total)\n";
     }
   } else if (cmd == "dump") {
     const auto paths = dbg_.flight_dump();
@@ -439,11 +454,15 @@ bool DebuggerCli::execute(const std::string& line) {
            << paths->second << "\n";
     }
   } else if (cmd == "status") {
+    const auto health = dbg_.metrics("vmm.health.")
+                            .value_or(std::vector<RemoteMetric>{});
+    const auto crashed = find_metric(health, "vmm.health.guest_crashed");
+    const auto intact = find_metric(health, "vmm.health.monitor_intact");
     out_ << "last stop: "
          << (dbg_.last_stop().empty() ? "(none)" : dbg_.last_stop()) << "\n"
-         << "crashed:   " << (dbg_.target_crashed() ? "yes" : "no") << "\n"
-         << "monitor:   "
-         << (dbg_.monitor_intact() ? "intact" : "CORRUPT") << "\n";
+         << "crashed:   " << (crashed.value_or(0) != 0 ? "yes" : "no") << "\n"
+         << "monitor:   " << (intact.value_or(0) != 0 ? "intact" : "CORRUPT")
+         << "\n";
   } else {
     out_ << "unknown command: " << cmd << " (try 'help')\n";
   }

@@ -37,7 +37,31 @@ std::string reg_hex(u32 v) {
 
 constexpr Cycles kDefaultBudget = 50'000'000;  // ~40 ms of target time
 
+/// Items of a `sep`-separated reply, empty ones included; an empty reply
+/// has none.
+std::vector<std::string> split(const std::string& s, char sep) {
+  std::vector<std::string> out;
+  if (s.empty()) return out;
+  std::size_t start = 0;
+  for (;;) {
+    const auto end = s.find(sep, start);
+    out.push_back(s.substr(start, end == std::string::npos
+                                      ? std::string::npos
+                                      : end - start));
+    if (end == std::string::npos) return out;
+    start = end + 1;
+  }
+}
+
 }  // namespace
+
+std::optional<double> find_metric(const std::vector<RemoteMetric>& ms,
+                                  std::string_view name) {
+  for (const RemoteMetric& m : ms) {
+    if (m.name == name) return m.value;
+  }
+  return std::nullopt;
+}
 
 RemoteDebugger::RemoteDebugger(hw::Machine& machine) : machine_(machine) {
   machine_.uart().set_tx_sink([this](u8 b) { on_rx_byte(b); });
@@ -223,18 +247,9 @@ bool RemoteDebugger::trace_enable(bool on) {
 }
 
 std::vector<std::string> RemoteDebugger::fetch_trace(unsigned n) {
-  std::vector<std::string> out;
   const auto r = query("Vdbg.Trace," + hex_u32(n));
-  if (!r || *r == "E01") return out;
-  std::size_t start = 0;
-  while (start < r->size()) {
-    const auto sep = r->find(';', start);
-    out.push_back(r->substr(
-        start, sep == std::string::npos ? std::string::npos : sep - start));
-    if (sep == std::string::npos) break;
-    start = sep + 1;
-  }
-  return out;
+  if (!r || *r == "E01") return {};
+  return split(*r, ';');
 }
 
 RemoteDebugger::StopKind RemoteDebugger::continue_and_wait(Cycles budget) {
@@ -277,28 +292,16 @@ RemoteDebugger::StopKind RemoteDebugger::reverse_step(Cycles budget) {
 }
 
 std::optional<u64> RemoteDebugger::icount() {
-  const auto r = query("Vdbg.Icount");
-  if (!r || r->empty() || (*r)[0] == 'E') return std::nullopt;
-  try {
-    return std::stoull(*r);
-  } catch (...) {
-    return std::nullopt;
-  }
+  const auto n = metric("cpu.core.instructions");
+  // Reject what no u64 counter can read (negative, NaN, >= 2^64) before
+  // the conversion, which is undefined for such values.
+  if (!n || !(*n >= 0.0 && *n < 0x1p64)) return std::nullopt;
+  return static_cast<u64>(*n);
 }
 
 bool RemoteDebugger::take_checkpoint() {
   const auto r = query("Vdbg.Checkpoint");
   return r && *r == "OK";
-}
-
-std::optional<u64> RemoteDebugger::checkpoint_count() {
-  const auto r = query("Vdbg.Checkpoints");
-  if (!r || r->empty() || (*r)[0] == 'E') return std::nullopt;
-  try {
-    return std::stoull(*r);
-  } catch (...) {
-    return std::nullopt;
-  }
 }
 
 bool RemoteDebugger::snapshot_save() {
@@ -315,63 +318,14 @@ std::optional<std::string> RemoteDebugger::query(const std::string& q) {
   return transact("q" + q, kDefaultBudget);
 }
 
-bool RemoteDebugger::target_crashed() {
-  const auto r = query("Vdbg.Crashed");
-  return r && *r == "1";
-}
-
-bool RemoteDebugger::monitor_intact() {
-  const auto r = query("Vdbg.MonitorIntact");
-  return r && *r == "1";
-}
-
-std::optional<std::string> RemoteDebugger::exec_tier() {
-  const auto r = query("Vdbg.Tier");
-  if (!r || r->empty() || r->rfind("E", 0) == 0) return std::nullopt;
-  return *r;
-}
-
-std::optional<std::vector<RemoteExitStat>> RemoteDebugger::exit_stats() {
-  const auto r = query("Vdbg.ExitStats");
-  if (!r || r->empty() || r->rfind("E", 0) == 0) return std::nullopt;
-  std::vector<RemoteExitStat> out;
-  std::size_t start = 0;
-  while (start <= r->size()) {
-    const auto sep = r->find(';', start);
-    const std::string item = r->substr(
-        start, sep == std::string::npos ? std::string::npos : sep - start);
-    const auto c1 = item.find(':');
-    const auto c2 = item.find(':', c1 == std::string::npos ? c1 : c1 + 1);
-    if (c1 == std::string::npos || c2 == std::string::npos) {
-      return std::nullopt;
-    }
-    RemoteExitStat s;
-    s.kind = item.substr(0, c1);
-    try {
-      s.count = std::stoull(item.substr(c1 + 1, c2 - c1 - 1));
-      s.cycles = std::stoull(item.substr(c2 + 1));
-    } catch (...) {
-      return std::nullopt;
-    }
-    out.push_back(std::move(s));
-    if (sep == std::string::npos) break;
-    start = sep + 1;
-  }
-  return out;
-}
-
 std::optional<std::vector<RemoteMetric>> RemoteDebugger::metrics(
     const std::string& prefix) {
   const auto r =
       query(prefix.empty() ? "Vdbg.Metrics" : "Vdbg.Metrics," + prefix);
   if (!r || r->empty() || r->rfind("E", 0) == 0) return std::nullopt;
   std::vector<RemoteMetric> out;
-  if (*r == "OK") return out;  // registry attached, nothing matched
-  std::size_t start = 0;
-  while (start <= r->size()) {
-    const auto sep = r->find(';', start);
-    const std::string item = r->substr(
-        start, sep == std::string::npos ? std::string::npos : sep - start);
+  if (*r == "OK") return out;  // nothing matched
+  for (const std::string& item : split(*r, ';')) {
     // "name=c:<u64>" or "name=g:<double>"
     const auto eq = item.find('=');
     if (eq == std::string::npos || eq + 2 >= item.size() ||
@@ -388,10 +342,14 @@ std::optional<std::vector<RemoteMetric>> RemoteDebugger::metrics(
       return std::nullopt;
     }
     out.push_back(std::move(m));
-    if (sep == std::string::npos) break;
-    start = sep + 1;
   }
   return out;
+}
+
+std::optional<double> RemoteDebugger::metric(const std::string& name) {
+  const auto ms = metrics(name);
+  if (!ms) return std::nullopt;
+  return find_metric(*ms, name);
 }
 
 std::optional<std::pair<std::string, std::string>>
@@ -411,11 +369,7 @@ std::optional<std::vector<RemoteProfileEntry>> RemoteDebugger::profile(
   if (!r || r->empty() || r->rfind("E", 0) == 0) return std::nullopt;
   std::vector<RemoteProfileEntry> out;
   if (*r == "OK") return out;  // profiler attached, no samples yet
-  std::size_t start = 0;
-  while (start <= r->size()) {
-    const auto sep = r->find(';', start);
-    const std::string item = r->substr(
-        start, sep == std::string::npos ? std::string::npos : sep - start);
+  for (const std::string& item : split(*r, ';')) {
     const auto colon = item.find(':');
     if (colon == std::string::npos) return std::nullopt;
     RemoteProfileEntry e;
@@ -426,8 +380,6 @@ std::optional<std::vector<RemoteProfileEntry>> RemoteDebugger::profile(
       return std::nullopt;
     }
     out.push_back(e);
-    if (sep == std::string::npos) break;
-    start = sep + 1;
   }
   return out;
 }
@@ -457,11 +409,7 @@ std::optional<std::vector<RemoteSeriesPoint>> RemoteDebugger::metrics_history(
   if (!r || r->empty() || r->rfind("E", 0) == 0) return std::nullopt;
   std::vector<RemoteSeriesPoint> out;
   if (*r == "OK") return out;  // series attached, metric never sampled
-  std::size_t start = 0;
-  while (start <= r->size()) {
-    const auto sep = r->find(';', start);
-    const std::string item = r->substr(
-        start, sep == std::string::npos ? std::string::npos : sep - start);
+  for (const std::string& item : split(*r, ';')) {
     const auto colon = item.find(':');
     if (colon == std::string::npos) return std::nullopt;
     RemoteSeriesPoint p;
@@ -472,23 +420,8 @@ std::optional<std::vector<RemoteSeriesPoint>> RemoteDebugger::metrics_history(
       return std::nullopt;
     }
     out.push_back(p);
-    if (sep == std::string::npos) break;
-    start = sep + 1;
   }
   return out;
-}
-
-std::optional<std::pair<u64, u64>> RemoteDebugger::flight_window() {
-  const auto r = query("Vdbg.FlightWindow");
-  if (!r || r->empty() || r->rfind("E", 0) == 0) return std::nullopt;
-  const auto colon = r->find(':');
-  if (colon == std::string::npos) return std::nullopt;
-  try {
-    return std::make_pair(std::stoull(r->substr(0, colon)),
-                          std::stoull(r->substr(colon + 1)));
-  } catch (...) {
-    return std::nullopt;
-  }
 }
 
 std::optional<std::vector<RemoteTimeline>> RemoteDebugger::fork_timelines(
@@ -501,11 +434,7 @@ std::optional<std::vector<RemoteTimeline>> RemoteDebugger::fork_timelines(
   if (!r || r->empty() || r->rfind("E", 0) == 0) return std::nullopt;
   // "<i>:<hit>:<stop>:<icount>:<perturb>|..."
   std::vector<RemoteTimeline> out;
-  std::size_t start = 0;
-  while (start <= r->size()) {
-    const auto sep = r->find('|', start);
-    const std::string item = r->substr(
-        start, sep == std::string::npos ? std::string::npos : sep - start);
+  for (const std::string& item : split(*r, '|')) {
     const auto c1 = item.find(':');
     const auto c2 = item.find(':', c1 + 1);
     const auto c3 = item.find(':', c2 + 1);
@@ -525,8 +454,6 @@ std::optional<std::vector<RemoteTimeline>> RemoteDebugger::fork_timelines(
       return std::nullopt;
     }
     out.push_back(std::move(t));
-    if (sep == std::string::npos) break;
-    start = sep + 1;
   }
   return out;
 }
@@ -544,17 +471,12 @@ std::optional<BugTrapReport> RemoteDebugger::bug_trap(
     return report;
   }
   // "found|rounds=<n>|minimal=<delta>|verified=<0/1>" or "none|rounds=<n>"
-  std::size_t start = 0;
-  bool first = true;
-  while (start <= r->size()) {
-    const auto sep = r->find('|', start);
-    const std::string item = r->substr(
-        start, sep == std::string::npos ? std::string::npos : sep - start);
-    if (first) {
-      if (item != "found" && item != "none") return std::nullopt;
-      report.found = item == "found";
-      first = false;
-    } else if (item.rfind("rounds=", 0) == 0) {
+  const auto items = split(*r, '|');
+  if (items[0] != "found" && items[0] != "none") return std::nullopt;
+  report.found = items[0] == "found";
+  for (std::size_t i = 1; i < items.size(); ++i) {
+    const std::string& item = items[i];
+    if (item.rfind("rounds=", 0) == 0) {
       try {
         report.rounds = static_cast<unsigned>(std::stoul(item.substr(7)));
       } catch (...) {
@@ -565,8 +487,6 @@ std::optional<BugTrapReport> RemoteDebugger::bug_trap(
     } else if (item.rfind("verified=", 0) == 0) {
       report.verified = item.substr(9) == "1";
     }
-    if (sep == std::string::npos) break;
-    start = sep + 1;
   }
   return report;
 }

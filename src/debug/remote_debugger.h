@@ -15,6 +15,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -29,14 +30,6 @@ struct TargetRegs {
   u32 psw = 0;
 };
 
-/// One parsed qVdbg.ExitStats entry: monitor cycles charged to one VM-exit
-/// kind ("priv", "io", "pf", "softint", "irq", "bp", "step", "other").
-struct RemoteExitStat {
-  std::string kind;
-  u64 count = 0;
-  u64 cycles = 0;
-};
-
 /// One parsed qVdbg.Metrics entry: a monitor/device counter or gauge from
 /// the target-side metrics registry.
 struct RemoteMetric {
@@ -44,6 +37,10 @@ struct RemoteMetric {
   char kind = 'c';  // 'c' counter, 'g' gauge
   double value = 0.0;
 };
+
+/// Value of the entry named exactly `name` in a metrics reply.
+std::optional<double> find_metric(const std::vector<RemoteMetric>& ms,
+                                  std::string_view name);
 
 /// One parsed qVdbg.Profile entry: a hot guest PC from the deterministic
 /// sampling profiler.
@@ -123,12 +120,12 @@ class RemoteDebugger {
   StopKind reverse_continue(Cycles budget = 50'000'000);
   /// Lands exactly one retired guest instruction earlier (stub `bs`).
   StopKind reverse_step(Cycles budget = 50'000'000);
-  /// Retired guest instructions at the current stop (qVdbg.Icount).
+  /// Retired guest instructions at the current stop
+  /// (cpu.core.instructions).
   std::optional<u64> icount();
-  /// Takes a checkpoint now / counts ring entries / saves or restores the
-  /// stub's host-side full-state snapshot slot.
+  /// Takes a checkpoint now / saves or restores the stub's host-side
+  /// full-state snapshot slot. The ring depth is vmm.tt.ring_depth.
   bool take_checkpoint();
-  std::optional<u64> checkpoint_count();
   bool snapshot_save();
   bool snapshot_load();
 
@@ -143,19 +140,15 @@ class RemoteDebugger {
   bool trace_enable(bool on);
   /// Fetches the most recent `n` (<=16) formatted trace events.
   std::vector<std::string> fetch_trace(unsigned n = 8);
-  bool target_crashed();
-  bool monitor_intact();
-  /// Per-exit-kind monitor counters (qVdbg.ExitStats); nullopt when the
-  /// stub does not answer or the reply is malformed.
-  std::optional<std::vector<RemoteExitStat>> exit_stats();
-  /// Enabled execution path, "interp" / "superblock" (qVdbg.Tier);
-  /// nullopt when the stub does not answer.
-  std::optional<std::string> exec_tier();
-  /// Metrics snapshot (qVdbg.Metrics), optionally filtered by name prefix.
-  /// Empty vector when the registry has no matching entries; nullopt when
-  /// no registry is attached or the reply is malformed.
+  /// Metrics snapshot (qVdbg.Metrics), optionally filtered by name prefix:
+  /// the one way to read a value from the target. Empty vector when the
+  /// registry has no matching entries; nullopt when the stub does not
+  /// answer or the reply is malformed.
   std::optional<std::vector<RemoteMetric>> metrics(
       const std::string& prefix = "");
+  /// One counter or gauge by exact name, read with a prefix query so the
+  /// target computes nothing else; nullopt when it is not registered.
+  std::optional<double> metric(const std::string& name);
   /// Asks the stub to write a flight-recorder bundle (qVdbg.FlightDump).
   /// Returns {summary_path, trace_path} on success.
   std::optional<std::pair<std::string, std::string>> flight_dump();
@@ -171,8 +164,6 @@ class RemoteDebugger {
   /// (qVdbg.MetricsHistory). `n` 0 means "as many as fit one packet".
   std::optional<std::vector<RemoteSeriesPoint>> metrics_history(
       const std::string& name, unsigned n = 0);
-  /// Replayable [begin, end] retired-instruction window of the flight loop.
-  std::optional<std::pair<u64, u64>> flight_window();
 
   // --- multiverse (stub needs an attached fleet::MultiverseService) ---
   /// Forks `k` perturbed timelines from the current stop and runs them in

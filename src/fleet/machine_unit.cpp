@@ -67,9 +67,9 @@ void MachineUnit::prepare(const guest::RunConfig& rc) {
 vmm::DebugStub* MachineUnit::attach_stub() {
   if (stub_) return stub_.get();
   if (!monitor_) return nullptr;
-  stub_ = std::make_unique<vmm::DebugStub>(*monitor_, machine_->uart());
+  stub_ = std::make_unique<vmm::DebugStub>(*monitor_, machine_->uart(),
+                                           metrics_);
   stub_->attach();
-  stub_->set_metrics(&metrics_);
   // Observers armed before the stub attached still get their wire surface.
   if (flight_) stub_->set_flight_recorder(flight_.get());
   if (flight_loop_) stub_->set_flight_loop(flight_loop_.get());

@@ -163,6 +163,12 @@ void FlightLoop::register_metrics(MetricsRegistry& reg) {
   reg.add_gauge(
       "vmm.flight.ring_depth", [this] { return double(ring_.size()); },
       /*replay_exact=*/false);
+  // Registered side by side so one vmm.flight.window_ read returns both
+  // ends of the window from the same instant.
+  reg.add_gauge(
+      "vmm.flight.window_begin",
+      [this] { return ring_.empty() ? 0.0 : double(ring_.front().cp.icount); },
+      /*replay_exact=*/false);
   reg.add_gauge(
       "vmm.flight.window_instructions",
       [this] { return double(replayable_instructions()); },

@@ -572,6 +572,13 @@ void Lvmm::register_metrics(MetricsRegistry& reg) {
 
   vpic_.register_metrics(reg, "vmm.vpic");
 
+  // The crash latch is serialized with the vCPU and the canary lives in
+  // simulated memory, so both replay exactly.
+  reg.add_gauge("vmm.health.guest_crashed",
+                [this] { return vcpu_.crashed ? 1.0 : 0.0; });
+  reg.add_gauge("vmm.health.monitor_intact",
+                [this] { return monitor_memory_intact() ? 1.0 : 0.0; });
+
   // Host wiring: the tracer ring is dropped on restore, not replayed.
   reg.add_gauge(
       "vmm.trace.recorded",

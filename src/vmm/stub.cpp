@@ -20,8 +20,9 @@ u8 checksum(const std::string& s) {
 
 }  // namespace
 
-DebugStub::DebugStub(Lvmm& monitor, hw::Uart& uart)
-    : mon_(monitor), uart_(uart) {}
+DebugStub::DebugStub(Lvmm& monitor, hw::Uart& uart,
+                     const MetricsRegistry& metrics)
+    : mon_(monitor), uart_(uart), metrics_(metrics) {}
 
 void DebugStub::attach() {
   mon_.set_debug_delegate(this);

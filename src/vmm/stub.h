@@ -24,21 +24,19 @@
 //   bc  bs               -> reverse continue / reverse step, reply is a
 //                           stop packet for the landing position
 // plus custom queries:
-//   qVdbg.Crashed        -> "1"/"0"
-//   qVdbg.Exits          -> decimal VM-exit count
-//   qVdbg.ExitStats      -> "<kind>:<count>:<cycles>;..." per exit kind
-//   qVdbg.MonitorIntact  -> "1"/"0" (canary check)
-//   qVdbg.Icount         -> decimal retired guest instructions
-//   qVdbg.Tier           -> enabled execution path:
-//                           "interp" / "superblock"
+//   qVdbg.Metrics[,pfx]  -> "name=c:<u64>;name=g:<double>;..." from the
+//                           stub's registry, filtered to names starting
+//                           with pfx before any value is read (histograms
+//                           are skipped; "OK" when nothing matches). The
+//                           one way to read a value: cpu.core.instructions,
+//                           vmm.exit_<kind>.*, vmm.health.*,
+//                           cpu.sbc.enabled, vmm.tt.ring_depth,
+//                           vmm.flight.window_*, ...
 //   qVdbg.Checkpoint     -> take a checkpoint now ("OK")
-//   qVdbg.Checkpoints    -> decimal checkpoints held in the ring
 //   qVdbg.Snapshot.Save  -> serialise full state into the host-side slot
 //   qVdbg.Snapshot.Load  -> restore the slot ("OK"/"E03")
-//   qVdbg.Metrics[,pfx]  -> "name=c:<u64>;name=g:<double>;..." from the
-//                           attached registry, optionally filtered to names
-//                           starting with pfx (histograms are skipped; "OK"
-//                           when nothing matches)
+//   qVdbg.TraceOn/Off    -> enable / disable the attached exit tracer
+//   qVdbg.Trace,<hexN>   -> last n (<= 16) formatted trace events
 //   qVdbg.FlightDump     -> write a flight-recorder bundle, reply is
 //                           "<summary_path>;<trace_path>"
 //   qVdbg.Profile[,n]    -> top-n (default 10) hot guest PCs from the
@@ -52,8 +50,6 @@
 //                        -> last n (default all) flight-loop time-series
 //                           points for one metric:
 //                           "<icount>:<value>;..." oldest first
-//   qVdbg.FlightWindow   -> "<begin_icount>:<end_icount>" instructions
-//                           currently replayable from the flight loop
 #pragma once
 
 #include <deque>
@@ -76,7 +72,8 @@ class TimeTravel;
 
 class DebugStub final : public DebugDelegate {
  public:
-  DebugStub(Lvmm& monitor, hw::Uart& uart);
+  /// `metrics` answers qVdbg.Metrics and must outlive the stub.
+  DebugStub(Lvmm& monitor, hw::Uart& uart, const MetricsRegistry& metrics);
 
   /// Registers with the monitor and the machine, enables UART interrupts.
   void attach();
@@ -85,8 +82,6 @@ class DebugStub final : public DebugDelegate {
   /// the qVdbg.Snapshot/Checkpoint queries. Pass nullptr to detach.
   void set_time_travel(TimeTravel* tt) { tt_ = tt; }
 
-  /// Attaches the metrics registry behind qVdbg.Metrics (nullptr detaches).
-  void set_metrics(const MetricsRegistry* reg) { metrics_ = reg; }
   /// Host-side extension hook for qVdbg.* queries the stub itself does not
   /// implement (the fleet layer installs the multiverse commands here).
   /// Return nullopt to fall through to the default empty reply.
@@ -96,8 +91,8 @@ class DebugStub final : public DebugDelegate {
   /// Attaches the flight recorder behind qVdbg.FlightDump (nullptr
   /// detaches).
   void set_flight_recorder(FlightRecorder* fr) { flight_ = fr; }
-  /// Attaches the continuous flight loop behind qVdbg.MetricsHistory and
-  /// qVdbg.FlightWindow (nullptr detaches).
+  /// Attaches the continuous flight loop behind qVdbg.MetricsHistory
+  /// (nullptr detaches).
   void set_flight_loop(FlightLoop* fl) { flight_loop_ = fl; }
 
   // --- DebugDelegate ---
@@ -157,8 +152,8 @@ class DebugStub final : public DebugDelegate {
   /// like the code they stop).
   std::map<VAddr, PAddr> breakpoints_;
 
+  const MetricsRegistry& metrics_;
   TimeTravel* tt_ = nullptr;
-  const MetricsRegistry* metrics_ = nullptr;
   FlightRecorder* flight_ = nullptr;
   FlightLoop* flight_loop_ = nullptr;
   QueryHook query_hook_;

@@ -43,6 +43,14 @@ std::optional<u32> reg_unhex(std::string_view s) {
 // Register file exposed over the wire: r0..r6, sp, pc, psw.
 constexpr unsigned kWireRegs = 10;
 
+/// A counter or gauge sample's value as the metric replies carry it.
+std::string wire_value(const MetricsRegistry::Sample& s) {
+  if (s.kind == MetricKind::kCounter) return std::to_string(s.value);
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g", s.number);
+  return buf;
+}
+
 }  // namespace
 
 std::string DebugStub::cmd_read_registers() {
@@ -170,51 +178,14 @@ std::string DebugStub::cmd_breakpoint(const std::string& args, bool insert) {
 std::string DebugStub::cmd_query(const std::string& q) {
   if (q.rfind("Supported", 0) == 0) return "PacketSize=1000";
   if (q == "Attached") return "1";
-  if (q == "Vdbg.Crashed") return mon_.vcpu().crashed ? "1" : "0";
-  if (q == "Vdbg.MonitorIntact") {
-    return mon_.monitor_memory_intact() ? "1" : "0";
-  }
-  if (q == "Vdbg.Exits") {
-    return std::to_string(mon_.exit_stats().total);
-  }
-  if (q == "Vdbg.ExitStats") {
-    // Per-exit-kind counters: "<kind>:<count>:<cycles>;..." in decimal,
-    // one field triple per kind, every kind always present.
-    const auto& st = mon_.exit_stats();
-    std::string out;
-    for (unsigned k = 0; k < kNumExitKinds; ++k) {
-      const auto& ks = st.by_kind[k];
-      if (!out.empty()) out.push_back(';');
-      out += exit_kind_name(static_cast<ExitKind>(k));
-      out += ':';
-      out += std::to_string(ks.count);
-      out += ':';
-      out += std::to_string(ks.cycles);
-    }
-    return out;
-  }
   if (q == "Vdbg.TraceOn" || q == "Vdbg.TraceOff") {
     if (!mon_.tracer()) return "E01";
     mon_.tracer()->set_enabled(q == "Vdbg.TraceOn");
     return "OK";
   }
-  if (q == "Vdbg.Icount") {
-    return std::to_string(mon_.machine().cpu().stats().instructions);
-  }
-  if (q == "Vdbg.Tier") {
-    // Execution path currently enabled. Purely informational: both paths
-    // retire bit-identical state, so this never affects debugging
-    // semantics, only guest throughput.
-    return mon_.machine().cpu().superblocks_enabled() ? "superblock"
-                                                      : "interp";
-  }
   if (q == "Vdbg.Checkpoint") {
     if (!tt_) return "E01";
     return tt_->checkpoint_now() ? "OK" : "E03";
-  }
-  if (q == "Vdbg.Checkpoints") {
-    if (!tt_) return "E01";
-    return std::to_string(tt_->checkpoint_count());
   }
   if (q == "Vdbg.Snapshot.Save") {
     if (!tt_) return "E01";
@@ -226,27 +197,20 @@ std::string DebugStub::cmd_query(const std::string& q) {
     return tt_->load_state(snapshot_slot_) ? "OK" : "E03";
   }
   if (q == "Vdbg.Metrics" || q.rfind("Vdbg.Metrics,", 0) == 0) {
-    if (!metrics_) return "E01";
-    std::string prefix;
+    std::string_view prefix;
     if (q.size() > 12) {
-      prefix = q.substr(13);
+      prefix = std::string_view(q).substr(13);
       if (prefix.empty()) return "E01";  // "qVdbg.Metrics," with no prefix
     }
     // "name=c:<u64>" for counters, "name=g:<double>" for gauges; histogram
     // buckets do not fit the line format and are left to qVdbg.FlightDump.
     std::string out;
-    for (const auto& s : metrics_->snapshot()) {
+    for (const auto& s : metrics_.snapshot(false, prefix)) {
       if (s.kind == MetricKind::kHistogram) continue;
-      if (!prefix.empty() && s.name.rfind(prefix, 0) != 0) continue;
       if (!out.empty()) out.push_back(';');
       out += s.name;
-      if (s.kind == MetricKind::kCounter) {
-        out += "=c:" + std::to_string(s.value);
-      } else {
-        char buf[40];
-        std::snprintf(buf, sizeof buf, "=g:%.17g", s.number);
-        out += buf;
-      }
+      out += s.kind == MetricKind::kCounter ? "=c:" : "=g:";
+      out += wire_value(s);
     }
     return out.empty() ? "OK" : out;
   }
@@ -312,16 +276,7 @@ std::string DebugStub::cmd_query(const std::string& q) {
     // reply always fits the advertised packet size.
     std::vector<std::string> fields;
     for (const auto& [icount, s] : flight_loop_->series().history(name, n)) {
-      std::string f = std::to_string(icount);
-      f.push_back(':');
-      if (s.kind == MetricKind::kCounter) {
-        f += std::to_string(s.value);
-      } else {
-        char buf[40];
-        std::snprintf(buf, sizeof buf, "%.17g", s.number);
-        f += buf;
-      }
-      fields.push_back(std::move(f));
+      fields.push_back(std::to_string(icount) + ":" + wire_value(s));
     }
     if (fields.empty()) return "OK";
     std::size_t bytes = 0;
@@ -335,11 +290,6 @@ std::string DebugStub::cmd_query(const std::string& q) {
       out += fields[i];
     }
     return out;
-  }
-  if (q == "Vdbg.FlightWindow") {
-    if (!flight_loop_) return "E01";
-    const auto w = flight_loop_->window();
-    return std::to_string(w.begin_icount) + ":" + std::to_string(w.end_icount);
   }
   if (query_hook_) {
     if (auto reply = query_hook_(q)) return *reply;

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/units.h"
 #include "debug/cli.h"
@@ -20,7 +22,8 @@ struct CliRig {
         harness::PlatformKind::kLvmm);
     platform->prepare(guest::RunConfig::for_rate_mbps(40.0));
     stub = std::make_unique<vmm::DebugStub>(*platform->monitor(),
-                                            platform->machine().uart());
+                                            platform->machine().uart(),
+                                            platform->metrics());
     stub->attach();
     platform->monitor()->set_tracer(&tracer);
     dbg = std::make_unique<debug::RemoteDebugger>(platform->machine());
@@ -45,6 +48,22 @@ struct CliRig {
   std::ostringstream out;
 };
 
+/// The % column of every row a `profile` command printed.
+std::vector<double> profile_shares(const std::string& transcript) {
+  std::vector<double> out;
+  std::istringstream is(transcript);
+  std::string line;
+  while (std::getline(is, line)) {
+    if (line.find("  0x") == std::string::npos) continue;
+    std::istringstream row(line);
+    u64 samples = 0;
+    double share = 0.0;
+    row >> samples >> share;
+    out.push_back(share);
+  }
+  return out;
+}
+
 TEST(Cli, HelpAndUnknownCommand) {
   CliRig rig;
   const auto t = rig.run_script("help\nbogus\n");
@@ -57,6 +76,24 @@ TEST(Cli, ExitsSummaryLeadsWithExecutionTier) {
   const auto t = rig.run_script("run 10\nexits\n");
   EXPECT_NE(t.find("tier: superblock"), std::string::npos);
   EXPECT_NE(t.find("kind"), std::string::npos);
+}
+
+// `profile n` shows each PC's share of every sample taken, not of the n
+// rows it fetched.
+TEST(Cli, ProfileSharesAreOfEverySample) {
+  CliRig rig;
+  rig.run_script("run 20\nprofile start 1000\nc 5\nint\n");
+  ASSERT_GT(rig.platform->machine().cpu().profiler().hist().size(), 3u);
+  rig.out.str("");
+  const auto one = profile_shares(rig.run_script("profile 1\n"));
+  rig.out.str("");
+  const auto three = profile_shares(rig.run_script("profile 3\n"));
+
+  ASSERT_EQ(one.size(), 1u);
+  EXPECT_LT(one[0], 100.0);
+  ASSERT_EQ(three.size(), 3u);
+  EXPECT_EQ(three[0], one[0]);
+  EXPECT_LT(three[0] + three[1] + three[2], 100.0);
 }
 
 TEST(Cli, RunAdvancesSimulatedTime) {

@@ -28,7 +28,8 @@ struct DebugRig {
     platform = std::make_unique<Platform>(PlatformKind::kLvmm);
     platform->prepare(rc);
     stub = std::make_unique<vmm::DebugStub>(*platform->monitor(),
-                                            platform->machine().uart());
+                                            platform->machine().uart(),
+                                            platform->metrics());
     stub->attach();
     dbg = std::make_unique<RemoteDebugger>(platform->machine());
     dbg->add_symbols(platform->image().kernel);
@@ -183,8 +184,10 @@ TEST(DebugSession, GuestCrashIsReportedAndPostMortemWorks) {
   ASSERT_TRUE(rig.platform->monitor()->vcpu().crashed);
 
   // The stub (and the whole debug environment) is still operational:
-  EXPECT_TRUE(rig.dbg->target_crashed());
-  EXPECT_TRUE(rig.dbg->monitor_intact());
+  const auto health = rig.dbg->metrics("vmm.health.");
+  ASSERT_TRUE(health.has_value());
+  EXPECT_EQ(debug::find_metric(*health, "vmm.health.guest_crashed"), 1.0);
+  EXPECT_EQ(debug::find_metric(*health, "vmm.health.monitor_intact"), 1.0);
   // Post-mortem inspection of the dead guest works.
   const auto regs = rig.dbg->read_registers();
   ASSERT_TRUE(regs.has_value());
@@ -224,30 +227,27 @@ TEST(DebugSession, ExitStatsQueryReportsPerKindCounters) {
   rig.platform->machine().run_for(seconds_to_cycles(0.05));
   ASSERT_EQ(rig.dbg->interrupt(), StopKind::kBreak);
 
-  const auto stats = rig.dbg->exit_stats();
+  const auto stats = rig.dbg->metrics("vmm.exit_");
   ASSERT_TRUE(stats.has_value());
-  ASSERT_EQ(stats->size(), vmm::kNumExitKinds);
-  u64 irq_count = 0, softint_count = 0;
-  for (const auto& s : *stats) {
-    if (s.kind == "irq") irq_count = s.count;
-    if (s.kind == "softint") softint_count = s.count;
-    if (s.count > 0) {
-      EXPECT_GT(s.cycles, 0u) << s.kind;
+  ASSERT_EQ(stats->size(), 3 * vmm::kNumExitKinds);  // count, cycles, max
+  const auto& es = rig.platform->monitor()->exit_stats();
+  for (unsigned k = 0; k < vmm::kNumExitKinds; ++k) {
+    const std::string base =
+        "vmm.exit_" +
+        std::string(vmm::exit_kind_name(static_cast<vmm::ExitKind>(k)));
+    const auto count = debug::find_metric(*stats, base + ".count");
+    const auto cycles = debug::find_metric(*stats, base + ".cycles");
+    ASSERT_TRUE(count && cycles) << base;
+    if (*count > 0) {
+      EXPECT_GT(*cycles, 0.0) << base;
     }
+    // The wire stats agree with the monitor's own counters.
+    EXPECT_EQ(u64(*count), es.by_kind[k].count) << base;
   }
   // A streaming guest takes timer/NIC interrupts and issues syscalls.
-  EXPECT_GT(irq_count, 0u);
-  EXPECT_GT(softint_count, 0u);
-
-  // The wire stats agree with the monitor's own counters.
-  const auto& es = rig.platform->monitor()->exit_stats();
-  for (const auto& s : *stats) {
-    for (unsigned k = 0; k < vmm::kNumExitKinds; ++k) {
-      if (s.kind == vmm::exit_kind_name(static_cast<vmm::ExitKind>(k))) {
-        EXPECT_EQ(s.count, es.by_kind[k].count) << s.kind;
-      }
-    }
-  }
+  EXPECT_GT(debug::find_metric(*stats, "vmm.exit_irq.count").value_or(0), 0);
+  EXPECT_GT(debug::find_metric(*stats, "vmm.exit_softint.count").value_or(0),
+            0);
 }
 
 TEST(DebugSession, StreamSurvivesRepeatedBreakInsWithIntegrity) {

@@ -347,10 +347,17 @@ TEST(FlightLoopSeries, HistoryOverRspWire) {
     prev = e.count;
   }
 
-  // Replayable window bounds.
-  const auto w = dbg.flight_window();
+  // Replayable window bounds, both ends from one read. The guest keeps
+  // running while the reply drains, so the window's end can only lag the
+  // live icount.
+  const auto w = dbg.metrics("vmm.flight.window_");
   ASSERT_TRUE(w.has_value());
-  EXPECT_GT(w->second, w->first);
+  ASSERT_EQ(w->size(), 2u);
+  EXPECT_EQ((*w)[0].name, "vmm.flight.window_begin");
+  EXPECT_EQ((*w)[1].name, "vmm.flight.window_instructions");
+  EXPECT_GT((*w)[1].value, 0.0);
+  EXPECT_LE((*w)[0].value + (*w)[1].value,
+            double(unit.machine().cpu().stats().instructions));
 
   // Run-control of the profiler over the wire.
   EXPECT_TRUE(dbg.profile_stop());

@@ -1,7 +1,7 @@
 // Metrics registry and flight recorder tests: registry semantics (naming,
 // registration, snapshot/export), the qVdbg.Metrics / qVdbg.FlightDump RSP
-// round trips (including malformed queries and the no-registry error
-// paths), flight-recorder capture on guest crash, and the replay-exactness
+// round trips (including malformed queries and the no-recorder error
+// path), flight-recorder capture on guest crash, and the replay-exactness
 // contract — a time-travel replay must reproduce every replay-exact metric
 // bit for bit.
 #include <gtest/gtest.h>
@@ -103,6 +103,30 @@ TEST(MetricsRegistry, RegistersAndSnapshotsInOrder) {
   EXPECT_FALSE(reg.value("t.unit.nope").has_value());
 }
 
+// A prefix read tests names before it reads anything: a gauge outside the
+// prefix is never computed, and an empty prefix still reads everything.
+TEST(MetricsRegistry, PrefixReadComputesNothingOutsideThePrefix) {
+  MetricsRegistry reg;
+  u64 a = 3;
+  int inside = 0, outside = 0;
+  ASSERT_TRUE(reg.add_counter("t.unit.a", &a));
+  ASSERT_TRUE(reg.add_gauge("t.unit.g", [&] { return double(++inside); }));
+  ASSERT_TRUE(reg.add_gauge("t.other.g", [&] { return double(++outside); }));
+
+  const auto unit = reg.snapshot(false, "t.unit.");
+  ASSERT_EQ(unit.size(), 2u);
+  EXPECT_EQ(unit[0].name, "t.unit.a");
+  EXPECT_EQ(unit[0].value, 3u);
+  EXPECT_EQ(unit[1].name, "t.unit.g");
+  EXPECT_TRUE(reg.snapshot(false, "t.none.").empty());
+  EXPECT_EQ(inside, 1);
+  EXPECT_EQ(outside, 0) << "a gauge outside the prefix was computed";
+
+  EXPECT_EQ(reg.snapshot(false, "").size(), 3u);
+  EXPECT_EQ(inside, 2);
+  EXPECT_EQ(outside, 1);
+}
+
 TEST(MetricsRegistry, RejectsBadNamesDuplicatesAndNullSlots) {
   MetricsRegistry reg;
   u64 a = 0;
@@ -141,16 +165,24 @@ TEST(MetricsRegistry, JsonEscapesNothingButIsWellFormed) {
 TEST(MetricsRegistry, PlatformRegistersTheWholeStack) {
   Platform p(PlatformKind::kLvmm);
   p.prepare(RunConfig::for_rate_mbps(40.0));
+  ASSERT_NE(p.unit().arm_flight_loop({}), nullptr);  // vmm.flight.*
   ASSERT_EQ(p.machine().run_for(seconds_to_cycles(0.02)), MStop::kBudget);
 
   for (const char* name :
        {"cpu.core.instructions", "cpu.tlb.hit_rate", "cpu.sbc.hits",
-        "hw.pic.acks", "hw.pit.ticks", "hw.uart.tx_bytes",
+        "cpu.sbc.enabled", "hw.pic.acks", "hw.pit.ticks", "hw.uart.tx_bytes",
         "hw.nic.frames_sent", "hw.scsi0.requests_completed",
         "hw.machine.idle_cycles", "vmm.exit.total", "vmm.vtlb.hit_rate",
-        "vmm.vpic.acks", "vmm.irqspan.completed"}) {
+        "vmm.vpic.acks", "vmm.irqspan.completed", "vmm.health.guest_crashed",
+        "vmm.health.monitor_intact", "vmm.flight.window_begin"}) {
     EXPECT_TRUE(p.metrics().value(name).has_value()) << name;
   }
+  EXPECT_EQ(p.metrics().value("vmm.health.guest_crashed"), 0.0);
+  EXPECT_EQ(p.metrics().value("vmm.health.monitor_intact"), 1.0);
+  EXPECT_EQ(p.metrics().value("cpu.sbc.enabled"), 1.0);
+  EXPECT_EQ(p.metrics().value("vmm.flight.window_begin").value() +
+                p.metrics().value("vmm.flight.window_instructions").value(),
+            p.metrics().value("cpu.core.instructions").value());
   EXPECT_GT(p.metrics().value("vmm.exit.total").value(), 0.0);
   EXPECT_GT(p.metrics().value("cpu.core.instructions").value(), 0.0);
   // The guest ran ticks, so delivery spans completed and the vPIC acked.
@@ -166,7 +198,8 @@ struct WireRig {
     platform->prepare(mbps > 0 ? RunConfig::for_rate_mbps(mbps)
                                : RunConfig());
     stub = std::make_unique<vmm::DebugStub>(*platform->monitor(),
-                                            platform->machine().uart());
+                                            platform->machine().uart(),
+                                            platform->metrics());
     stub->attach();
     platform->machine().uart().set_tx_sink(
         [this](u8 b) { wire_out.push_back(static_cast<char>(b)); });
@@ -197,34 +230,20 @@ struct WireRig {
   std::string wire_out;
 };
 
-TEST(MetricsRsp, NoRegistryAttachedIsAnError) {
-  WireRig rig;
-  rig.send_packet("qVdbg.Metrics");
-  EXPECT_EQ(rig.last_reply(), "E01");
-}
-
 TEST(MetricsRsp, MalformedPrefixQueryIsAnError) {
   WireRig rig;
-  rig.stub->set_metrics(&rig.platform->metrics());
   rig.send_packet("qVdbg.Metrics,");  // comma but no prefix
   EXPECT_EQ(rig.last_reply(), "E01");
 }
 
 TEST(MetricsRsp, EmptyMatchReturnsOk) {
   WireRig rig;
-  MetricsRegistry empty;
-  rig.stub->set_metrics(&empty);
-  rig.send_packet("qVdbg.Metrics");
-  EXPECT_EQ(rig.last_reply(), "OK");
-
-  rig.stub->set_metrics(&rig.platform->metrics());
   rig.send_packet("qVdbg.Metrics,no.such.prefix");
   EXPECT_EQ(rig.last_reply(), "OK");
 }
 
 TEST(MetricsRsp, PrefixFilteredRoundTripMatchesRegistry) {
   WireRig rig(40.0);
-  rig.stub->set_metrics(&rig.platform->metrics());
   rig.platform->machine().run_for(seconds_to_cycles(0.02));
 
   rig.send_packet("qVdbg.Metrics,vmm.exit.");
@@ -258,9 +277,8 @@ TEST(MetricsRsp, PrefixFilteredRoundTripMatchesRegistry) {
 TEST(MetricsRsp, RemoteDebuggerParsesMetrics) {
   Platform p(PlatformKind::kLvmm);
   p.prepare(RunConfig::for_rate_mbps(40.0));
-  vmm::DebugStub stub(*p.monitor(), p.machine().uart());
+  vmm::DebugStub stub(*p.monitor(), p.machine().uart(), p.metrics());
   stub.attach();
-  stub.set_metrics(&p.metrics());
   RemoteDebugger dbg(p.machine());
   ASSERT_TRUE(dbg.connect());
   p.machine().run_for(seconds_to_cycles(0.02));

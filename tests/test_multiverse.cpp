@@ -353,13 +353,14 @@ TEST(MultiverseRsp, UnrelatedQueriesFallThroughTheHook) {
   ASSERT_NE(stub, nullptr);
   TimeTravel tt(*rig.unit.monitor());
   stub->set_time_travel(&tt);
+  tt.register_metrics(rig.unit.metrics());
   MultiverseService svc(*stub, tt, trap_config());
 
   RemoteDebugger dbg(rig.unit.machine());
   ASSERT_NE(dbg.interrupt(), RemoteDebugger::StopKind::kError);
   ASSERT_TRUE(dbg.connect());
   EXPECT_TRUE(dbg.take_checkpoint());
-  EXPECT_EQ(dbg.checkpoint_count().value_or(0), 1u);
+  EXPECT_EQ(dbg.metric("vmm.tt.ring_depth").value_or(0), 1.0);
 }
 
 // Forks branch from the program's real state: a breakpoint armed where the

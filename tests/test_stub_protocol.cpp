@@ -24,7 +24,8 @@ struct WireRig {
     platform = std::make_unique<Platform>(PlatformKind::kLvmm);
     platform->prepare(guest::RunConfig());
     stub = std::make_unique<vmm::DebugStub>(*platform->monitor(),
-                                            platform->machine().uart());
+                                            platform->machine().uart(),
+                                            platform->metrics());
     stub->attach();
     platform->machine().uart().set_tx_sink(
         [this](u8 b) { wire_out.push_back(static_cast<char>(b)); });
@@ -141,53 +142,66 @@ TEST(StubProtocol, BreakpointValidation) {
 
 TEST(StubProtocol, CustomQueriesReportMonitorState) {
   WireRig rig;
-  rig.send_packet("qVdbg.Crashed");
-  EXPECT_EQ(rig.last_reply(), "0");
-  rig.send_packet("qVdbg.MonitorIntact");
-  EXPECT_EQ(rig.last_reply(), "1");
-  rig.send_packet("qVdbg.Exits");
-  EXPECT_FALSE(rig.last_reply().empty());
+  rig.send_packet("qVdbg.Metrics,vmm.health.");
+  EXPECT_EQ(rig.last_reply(),
+            "vmm.health.guest_crashed=g:0;vmm.health.monitor_intact=g:1");
+  rig.send_packet("qVdbg.Metrics,vmm.exit.total");
+  EXPECT_EQ(rig.last_reply().rfind("vmm.exit.total=c:", 0), 0u);
 }
 
 TEST(StubProtocol, TierQueryTracksKillSwitches) {
   WireRig rig;
   auto& cpu = rig.platform->machine().cpu();
-  rig.send_packet("qVdbg.Tier");
-  EXPECT_EQ(rig.last_reply(), "superblock");  // the default configuration
+  rig.send_packet("qVdbg.Metrics,cpu.sbc.enabled");
+  EXPECT_EQ(rig.last_reply(), "cpu.sbc.enabled=g:1");  // the default
   cpu.set_superblocks_enabled(false);
-  rig.send_packet("qVdbg.Tier");
-  EXPECT_EQ(rig.last_reply(), "interp");
+  rig.send_packet("qVdbg.Metrics,cpu.sbc.enabled");
+  EXPECT_EQ(rig.last_reply(), "cpu.sbc.enabled=g:0");
+}
+
+// A prefix read at a stop answers with exactly the named counter, and its
+// value is the live one: nothing runs while the guest is frozen.
+TEST(StubProtocol, PrefixReadAtAStopIsExact) {
+  WireRig rig;
+  rig.platform->machine().run_for(seconds_to_cycles(0.01));
+  rig.send_raw(std::string(1, '\x03'));
+  ASSERT_TRUE(rig.stub->target_stopped());
+  rig.send_packet("qVdbg.Metrics,cpu.core.instructions");
+  EXPECT_EQ(rig.last_reply(),
+            "cpu.core.instructions=c:" +
+                std::to_string(
+                    rig.platform->machine().cpu().stats().instructions));
 }
 
 TEST(StubProtocol, ExitStatsQueryFormatsPerKindTriples) {
   WireRig rig;
   rig.platform->machine().run_for(seconds_to_cycles(0.02));
-  rig.send_packet("qVdbg.ExitStats");
+  rig.send_packet("qVdbg.Metrics,vmm.exit_");
   const std::string reply = rig.last_reply();
   ASSERT_FALSE(reply.empty());
 
-  // Exactly one "name:count:cycles" triple per exit kind, ';'-separated,
-  // in enum order.
-  std::vector<std::string> triples;
+  // count, cycles and max_cycles counters per exit kind, ';'-separated,
+  // in enum order (the latency histograms do not travel in this reply).
+  std::vector<std::string> items;
   std::size_t start = 0;
   while (start <= reply.size()) {
     const auto semi = reply.find(';', start);
-    triples.push_back(reply.substr(
+    items.push_back(reply.substr(
         start, semi == std::string::npos ? std::string::npos : semi - start));
     if (semi == std::string::npos) break;
     start = semi + 1;
   }
-  ASSERT_EQ(triples.size(), vmm::kNumExitKinds);
+  ASSERT_EQ(items.size(), 3 * vmm::kNumExitKinds);
   u64 total = 0;
   for (unsigned k = 0; k < vmm::kNumExitKinds; ++k) {
-    const std::string& t = triples[k];
-    const auto c1 = t.find(':');
-    const auto c2 = t.find(':', c1 + 1);
-    ASSERT_NE(c1, std::string::npos) << t;
-    ASSERT_NE(c2, std::string::npos) << t;
-    EXPECT_EQ(t.substr(0, c1),
-              vmm::exit_kind_name(static_cast<vmm::ExitKind>(k)));
-    total += std::stoull(t.substr(c1 + 1, c2 - c1 - 1));
+    const std::string base =
+        "vmm.exit_" +
+        std::string(vmm::exit_kind_name(static_cast<vmm::ExitKind>(k)));
+    const std::string count = base + ".count=c:";
+    ASSERT_EQ(items[3 * k].rfind(count, 0), 0u) << items[3 * k];
+    EXPECT_EQ(items[3 * k + 1].rfind(base + ".cycles=c:", 0), 0u);
+    EXPECT_EQ(items[3 * k + 2].rfind(base + ".max_cycles=c:", 0), 0u);
+    total += std::stoull(items[3 * k].substr(count.size()));
   }
   // The guest booted and ran: some exits must have been recorded. The
   // reply is a snapshot — the guest keeps exiting while the answer drains
@@ -231,8 +245,8 @@ TEST(StubProtocol, SurvivesFuzzedWireGarbage) {
     }
     rig.send_raw(mix);
   }
-  rig.send_packet("qVdbg.MonitorIntact");
-  EXPECT_EQ(rig.last_reply(), "1");
+  rig.send_packet("qVdbg.Metrics,vmm.health.monitor_intact");
+  EXPECT_EQ(rig.last_reply(), "vmm.health.monitor_intact=g:1");
   EXPECT_FALSE(rig.platform->monitor()->vcpu().crashed);
   EXPECT_FALSE(rig.platform->machine().cpu().shutdown());
   // Fuzz may include 0x03 break-ins: resume if frozen, then confirm life.

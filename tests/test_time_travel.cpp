@@ -318,7 +318,8 @@ struct TtRig {
   TtRig() {
     platform = make_lvmm();
     stub = std::make_unique<vmm::DebugStub>(*platform->monitor(),
-                                            platform->machine().uart());
+                                            platform->machine().uart(),
+                                            platform->metrics());
     stub->attach();
     TimeTravel::Config cfg;
     cfg.interval = 2'000;
@@ -466,13 +467,14 @@ TEST(TimeTravelRsp, SnapshotSaveLoadOverRsp) {
 // Checkpoint control over the wire.
 TEST(TimeTravelRsp, CheckpointQueriesOverRsp) {
   TtRig rig;
+  rig.tt->register_metrics(rig.platform->metrics());
   ASSERT_TRUE(rig.dbg->connect());
   rig.platform->machine().run_for(seconds_to_cycles(0.01));
   ASSERT_EQ(rig.dbg->interrupt(), StopKind::kBreak);
 
-  EXPECT_EQ(rig.dbg->checkpoint_count().value_or(99), 0u);
+  EXPECT_EQ(rig.dbg->metric("vmm.tt.ring_depth").value_or(99), 0.0);
   ASSERT_TRUE(rig.dbg->take_checkpoint());
-  EXPECT_EQ(rig.dbg->checkpoint_count().value_or(0), 1u);
+  EXPECT_EQ(rig.dbg->metric("vmm.tt.ring_depth").value_or(0), 1.0);
 }
 
 // A breakpoint session with time travel: an LVMM guest streaming at `mbps`,
@@ -484,7 +486,8 @@ struct BreakpointRig {
     platform = std::make_unique<Platform>(PlatformKind::kLvmm);
     platform->prepare(RunConfig::for_rate_mbps(mbps));
     stub = std::make_unique<vmm::DebugStub>(*platform->monitor(),
-                                            platform->machine().uart());
+                                            platform->machine().uart(),
+                                            platform->metrics());
     stub->attach();
     tt = std::make_unique<TimeTravel>(*platform->monitor(), cfg);
     stub->set_time_travel(tt.get());

@@ -27,7 +27,8 @@ struct Rig {
     platform = std::make_unique<Platform>(PlatformKind::kLvmm);
     platform->prepare(rc);
     stub = std::make_unique<vmm::DebugStub>(*platform->monitor(),
-                                            platform->machine().uart());
+                                            platform->machine().uart(),
+                                            platform->metrics());
     stub->attach();
     platform->monitor()->set_tracer(&tracer);
     dbg = std::make_unique<RemoteDebugger>(platform->machine());

@@ -508,12 +508,13 @@ void check_metric_names(const Repo& repo, std::vector<Diag>& out) {
       {"hw.nic", "hw"},
       {"hw.pit", "hw"},
       {"hw.uart", "hw"},
-      // vmm: exit accounting, IRQ spans, vTLB, exit tracing, time travel,
-      // flight loop.
+      // vmm: exit accounting, IRQ spans, vTLB, exit tracing, guest and
+      // monitor health, time travel, flight loop.
       {"vmm.exit", "vmm"},
       {"vmm.trace", "vmm"},
       {"vmm.irqspan", "vmm"},
       {"vmm.vtlb", "vmm"},
+      {"vmm.health", "vmm"},
       {"vmm.tt", "vmm"},
       {"vmm.flight", "vmm"},
       // fleet: multiverse exploration and the per-machine metrics series.
