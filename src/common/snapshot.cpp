@@ -5,46 +5,49 @@
 namespace vdbg {
 namespace {
 
-std::array<u32, 256> make_crc_table() {
-  std::array<u32, 256> table{};
+// Slice-by-8 tables: kCrc[0] is the classic byte table; kCrc[k][b] is the
+// CRC of byte b followed by k zero bytes, so eight table lookups advance the
+// CRC over eight input bytes at once.
+using CrcTables = std::array<std::array<u32, 256>, 8>;
+
+CrcTables make_crc_tables() {
+  CrcTables t{};
   for (u32 i = 0; i < 256; ++i) {
     u32 c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? (0xedb88320u ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (u32 i = 0; i < 256; ++i) {
+    for (std::size_t k = 1; k < t.size(); ++k) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+    }
+  }
+  return t;
 }
 
 }  // namespace
 
 u32 crc32(const u8* data, std::size_t len, u32 seed) {
-  static const std::array<u32, 256> table = make_crc_table();
+  static const CrcTables t = make_crc_tables();
   u32 c = seed ^ 0xffffffffu;
-  for (std::size_t i = 0; i < len; ++i) {
-    c = table[(c ^ data[i]) & 0xffu] ^ (c >> 8);
+  for (; len >= 8; data += 8, len -= 8) {
+    u32 lo, hi;
+    std::memcpy(&lo, data, 4);
+    std::memcpy(&hi, data + 4, 4);
+    lo ^= c;
+    c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+        t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][hi & 0xffu] ^
+        t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
   }
+  for (; len > 0; ++data, --len) c = t[0][(c ^ *data) & 0xffu] ^ (c >> 8);
   return c ^ 0xffffffffu;
 }
 
 SnapshotWriter::SnapshotWriter() {
-  // Byte-wise rather than a range insert: GCC 12's -Wstringop-overflow
-  // misfires on vector::insert from a char array into an empty vector.
-  for (char c : kMagic) put_u8(static_cast<u8>(c));
+  put_bytes(reinterpret_cast<const u8*>(kMagic), sizeof(kMagic));
   put_u32(kVersion);
-}
-
-void SnapshotWriter::put_u32(u32 v) {
-  for (int i = 0; i < 4; ++i) put_u8(static_cast<u8>(v >> (8 * i)));
-}
-
-void SnapshotWriter::put_u64(u64 v) {
-  for (int i = 0; i < 8; ++i) put_u8(static_cast<u8>(v >> (8 * i)));
-}
-
-void SnapshotWriter::put_bytes(const u8* data, std::size_t len) {
-  buf_.insert(buf_.end(), data, data + len);
 }
 
 void SnapshotWriter::put_blob(const u8* data, std::size_t len) {
@@ -65,9 +68,7 @@ void SnapshotWriter::begin_section(SnapTag tag) {
 
 void SnapshotWriter::end_section() {
   const u64 len = buf_.size() - (section_len_at_ + 8);
-  for (int i = 0; i < 8; ++i) {
-    buf_[section_len_at_ + i] = static_cast<u8>(len >> (8 * i));
-  }
+  std::memcpy(buf_.data() + section_len_at_, &len, 8);
   in_section_ = false;
 }
 
@@ -94,15 +95,13 @@ SnapshotReader::SnapshotReader(const u8* data, std::size_t len)
   std::size_t pos = sizeof(SnapshotWriter::kMagic);
   auto rd_u32 = [&](u32& out) {
     if (pos + 4 > len_) return false;
-    out = 0;
-    for (int i = 0; i < 4; ++i) out |= static_cast<u32>(data_[pos + i]) << (8 * i);
+    std::memcpy(&out, data_ + pos, 4);
     pos += 4;
     return true;
   };
   auto rd_u64 = [&](u64& out) {
     if (pos + 8 > len_) return false;
-    out = 0;
-    for (int i = 0; i < 8; ++i) out |= static_cast<u64>(data_[pos + i]) << (8 * i);
+    std::memcpy(&out, data_ + pos, 8);
     pos += 8;
     return true;
   };
@@ -176,39 +175,21 @@ bool SnapshotReader::open_section(SnapTag tag) {
   return false;
 }
 
-u8 SnapshotReader::get_u8() {
-  if (pos_ + 1 > section_end_) {
-    fail("snapshot rejected: read past section end");
-    return 0;
+bool SnapshotReader::has_section(SnapTag tag) const {
+  for (const Section& s : sections_) {
+    if (s.tag == tag) return true;
   }
-  return data_[pos_++];
+  return false;
 }
 
-u32 SnapshotReader::get_u32() {
-  u32 v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<u32>(get_u8()) << (8 * i);
-  return v;
-}
-
-u64 SnapshotReader::get_u64() {
-  u64 v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<u64>(get_u8()) << (8 * i);
-  return v;
-}
-
-void SnapshotReader::get_bytes(u8* out, std::size_t len) {
-  if (pos_ + len > section_end_) {
-    fail("snapshot rejected: read past section end");
-    std::memset(out, 0, len);
-    return;
-  }
-  std::memcpy(out, data_ + pos_, len);
-  pos_ += len;
+void SnapshotReader::overrun(u8* out, std::size_t len) {
+  fail("snapshot rejected: read past section end");
+  std::memset(out, 0, len);
 }
 
 std::vector<u8> SnapshotReader::get_blob() {
   const u64 len = get_u64();
-  if (!ok_ || pos_ + len > section_end_) {
+  if (!ok_ || len > section_end_ - pos_) {
     fail("snapshot rejected: blob runs past section end");
     return {};
   }

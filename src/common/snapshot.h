@@ -13,6 +13,7 @@
 // snapshots are rejected up front rather than mid-restore.
 #pragma once
 
+#include <bit>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -22,9 +23,15 @@
 
 namespace vdbg {
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over a byte range.
-/// `seed` allows incremental computation: pass a previous return value.
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over a byte range,
+/// eight bytes per step (slice-by-8). `seed` allows incremental computation:
+/// pass a previous return value.
 u32 crc32(const u8* data, std::size_t len, u32 seed = 0);
+
+// Primitives move between host integers and the stream's little-endian bytes
+// with one memcpy each.
+static_assert(std::endian::native == std::endian::little,
+              "snapshot primitives are copied as host-order bytes");
 
 /// Section tags. Each serializable component owns one tag; the writer emits
 /// sections in save order and the reader locates them by tag.
@@ -65,10 +72,16 @@ class SnapshotWriter {
   SnapshotWriter();
 
   void put_u8(u8 v) { buf_.push_back(v); }
-  void put_u32(u32 v);
-  void put_u64(u64 v);
+  void put_u32(u32 v) { put_bytes(reinterpret_cast<const u8*>(&v), 4); }
+  void put_u64(u64 v) { put_bytes(reinterpret_cast<const u8*>(&v), 8); }
   void put_bool(bool v) { put_u8(v ? 1 : 0); }
-  void put_bytes(const u8* data, std::size_t len);
+  /// Appends `len` bytes with one resize and one copy.
+  void put_bytes(const u8* data, std::size_t len) {
+    if (len == 0) return;  // `data` may be null
+    const std::size_t at = buf_.size();
+    buf_.resize(at + len);
+    std::memcpy(buf_.data() + at, data, len);
+  }
   /// Length-prefixed (u64) byte blob.
   void put_blob(const u8* data, std::size_t len);
   void put_string(const std::string& s);
@@ -104,15 +117,38 @@ class SnapshotReader {
   /// Positions the cursor at the start of the section with `tag`.
   /// Returns false (and sets error) if the section is absent.
   bool open_section(SnapTag tag);
+  /// True when the stream holds a section with `tag`; moves nothing.
+  bool has_section(SnapTag tag) const;
 
-  // Primitive reads. Out-of-bounds reads (past the open section) set an
-  // error, return 0 and leave the cursor clamped; callers check ok() once
-  // after a batch of reads rather than after each one.
-  u8 get_u8();
-  u32 get_u32();
-  u64 get_u64();
+  // Primitive reads, one bounds check each. Out-of-bounds reads (past the
+  // open section) set an error, return 0 and leave the cursor clamped;
+  // callers check ok() once after a batch of reads rather than after each
+  // one.
+  u8 get_u8() {
+    u8 v = 0;
+    get_bytes(&v, 1);
+    return v;
+  }
+  u32 get_u32() {
+    u32 v = 0;
+    get_bytes(reinterpret_cast<u8*>(&v), 4);
+    return v;
+  }
+  u64 get_u64() {
+    u64 v = 0;
+    get_bytes(reinterpret_cast<u8*>(&v), 8);
+    return v;
+  }
   bool get_bool() { return get_u8() != 0; }
-  void get_bytes(u8* out, std::size_t len);
+  /// Copies `len` bytes out; past the section end, fails and zero-fills.
+  void get_bytes(u8* out, std::size_t len) {
+    if (len > section_end_ - pos_) [[unlikely]] {
+      overrun(out, len);
+      return;
+    }
+    std::memcpy(out, data_ + pos_, len);
+    pos_ += len;
+  }
   std::vector<u8> get_blob();
   std::string get_string();
 
@@ -123,6 +159,7 @@ class SnapshotReader {
     std::size_t len;
   };
   void fail(std::string msg);
+  void overrun(u8* out, std::size_t len);
 
   const u8* data_ = nullptr;
   std::size_t len_ = 0;

@@ -1,13 +1,16 @@
 #include "cpu/phys_mem.h"
 
+#include <algorithm>
+#include <bit>
 #include <memory>
+#include <utility>
 
 #include "common/metrics.h"
 
 namespace vdbg::cpu {
 
 PhysMem::~PhysMem() {
-  for (CowPage* n : nodes_) cow_detail::release(n);
+  for (CowChunk* c : top_) cow_detail::release(c);
 }
 
 const u8* PhysMem::zero_page() {
@@ -15,85 +18,177 @@ const u8* PhysMem::zero_page() {
   return kZero;
 }
 
-u8* PhysMem::cow_fault(u32 page) {
-  CowPage* fresh = new CowPage;
-  std::memcpy(fresh->data, read_[page], kPageSize);
-  cow_detail::release(nodes_[page]);
-  nodes_[page] = fresh;
-  read_[page] = fresh->data;
-  ++cow_faults_;
-  return fresh->data;
+u8* PhysMem::cow_fault(u32 page, bool keep_bytes) {
+  const u32 c = page >> kChunkBits;
+  CowChunk* chunk = top_[c];
+  if (chunk == nullptr) {
+    chunk = top_[c] = new CowChunk;
+  } else if (chunk->refs.load(std::memory_order_acquire) != 1) {
+    chunk = unshare_chunk(c);
+  }
+  CowPage*& frame = chunk->frames[page & (kChunkPages - 1)];
+  // A frame whose last other holder was released is written in place: no
+  // copy, no fault.
+  if (frame == nullptr || frame->refs.load(std::memory_order_acquire) != 1) {
+    CowPage* fresh = new CowPage;
+    if (keep_bytes) {
+      std::memcpy(fresh->data, read_[page], kPageSize);
+      ++cow_faults_;
+    }
+    if (frame == nullptr) {
+      ++chunk->resident;
+      ++resident_;
+    }
+    cow_detail::release(frame);
+    frame = fresh;
+    read_[page] = fresh->data;
+  }
+  writable_[page] = frame->data;
+  dirty_.push_back(page);
+  return frame->data;
 }
 
-void PhysMem::drop_page(u32 page) {
-  cow_detail::release(nodes_[page]);
-  nodes_[page] = nullptr;
-  read_[page] = zero_page();
+CowChunk* PhysMem::unshare_chunk(u32 c) {
+  const CowChunk* shared = top_[c];
+  CowChunk* own = new CowChunk;
+  own->resident = shared->resident;
+  own->nonzero = shared->nonzero;
+  for (u32 i = 0; i < kChunkPages; ++i) {
+    own->frames[i] = shared->frames[i];
+    cow_detail::retain(own->frames[i]);
+  }
+  cow_detail::release(top_[c]);
+  top_[c] = own;
+  return own;
 }
 
-u8* PhysMem::own_page_nocopy(u32 page) {
-  CowPage* n = nodes_[page];
-  if (n && n->refs.load(std::memory_order_acquire) == 1) return n->data;
-  CowPage* fresh = new CowPage;
-  cow_detail::release(n);
-  nodes_[page] = fresh;
-  read_[page] = fresh->data;
-  return fresh->data;
+void PhysMem::clear_writable() {
+  for (u32 p : dirty_) writable_[p] = nullptr;
+  dirty_.clear();
+}
+
+void PhysMem::drop_all() {
+  clear_writable();
+  for (CowChunk*& c : top_) {
+    cow_detail::release(c);
+    c = nullptr;
+  }
+  std::fill(read_.begin(), read_.end(), zero_page());
+  resident_ = 0;
+  nonzero_ = 0;
+}
+
+void PhysMem::refresh_read(u32 c) {
+  const CowChunk* chunk = top_[c];
+  const u32 first = c << kChunkBits;
+  const u32 n = std::min<u32>(kChunkPages, u32(read_.size()) - first);
+  for (u32 i = 0; i < n; ++i) {
+    const CowPage* frame = chunk ? chunk->frames[i] : nullptr;
+    read_[first + i] = frame ? frame->data : zero_page();
+  }
+}
+
+void PhysMem::sync_nonzero() const {
+  // Only whole pages count: a trailing partial page is never saved.
+  const u32 pages = size() >> kPageBits;
+  for (u32 p : dirty_) {
+    CowChunk* chunk = top_[p >> kChunkBits];
+    const u64 bit = u64{1} << (p & (kChunkPages - 1));
+    const bool nonzero =
+        p < pages && std::memcmp(read_[p], zero_page(), kPageSize) != 0;
+    if (nonzero == ((chunk->nonzero & bit) != 0)) continue;
+    chunk->nonzero ^= bit;
+    if (nonzero) {
+      ++nonzero_;
+    } else {
+      --nonzero_;
+    }
+  }
 }
 
 CowPages PhysMem::capture_cow() {
+  sync_nonzero();
   CowPages out;
   out.size_bytes_ = size_bytes_;
-  const u32 pages = static_cast<u32>(nodes_.size());
-  for (u32 p = 0; p < pages; ++p) {
-    CowPage* n = nodes_[p];
-    if (n == nullptr) continue;
-    // refs == 1 means no older capture still references this frame: it was
-    // (re)written since the previous capture, so this capture is the one
-    // paying to keep it alive.
-    if (n->refs.load(std::memory_order_relaxed) == 1) ++out.fresh_pages_;
-    n->refs.fetch_add(1, std::memory_order_relaxed);
-    out.pages_.emplace_back(p, n);
+  out.resident_pages_ = resident_;
+  out.nonzero_pages_ = nonzero_;
+  out.chunks_.reserve(std::count_if(top_.begin(), top_.end(),
+                                    [](auto* c) { return c != nullptr; }));
+  for (u32 c = 0; c < static_cast<u32>(top_.size()); ++c) {
+    CowChunk* chunk = top_[c];
+    if (chunk == nullptr) continue;
+    // A chunk the machine held alone holds the pages written since the
+    // previous capture; among its frames, those it alone points to are the
+    // ones this capture is the first to keep alive.
+    if (chunk->refs.fetch_add(1, std::memory_order_relaxed) == 1) {
+      ++out.fresh_chunks_;
+      for (const CowPage* f : chunk->frames) {
+        if (f && f->refs.load(std::memory_order_relaxed) == 1) {
+          ++out.fresh_pages_;
+        }
+      }
+    }
+    out.chunks_.emplace_back(c, chunk);
   }
+  clear_writable();
   ++cow_captures_;
   return out;
 }
 
 bool PhysMem::adopt_cow(const CowPages& t) {
   if (t.size_bytes_ != size_bytes_) return false;
-  // Retain before releasing our own frames so adopting a capture taken from
-  // this very machine (refs momentarily equal) cannot free a live frame.
-  for (const auto& [page, node] : t.pages_) cow_detail::retain(node);
   retire_all_code();
-  const u32 pages = static_cast<u32>(nodes_.size());
-  for (u32 p = 0; p < pages; ++p) {
-    cow_detail::release(nodes_[p]);
-    nodes_[p] = nullptr;
-    read_[p] = zero_page();
+  clear_writable();
+  // Same chunk, same bytes: only chunks that differ are swapped. Retaining
+  // before releasing keeps a chunk both tables share alive.
+  auto next = t.chunks_.begin();
+  for (u32 c = 0; c < static_cast<u32>(top_.size()); ++c) {
+    CowChunk* chunk = nullptr;
+    if (next != t.chunks_.end() && next->first == c) chunk = (next++)->second;
+    if (chunk == top_[c]) continue;
+    cow_detail::retain(chunk);
+    cow_detail::release(top_[c]);
+    top_[c] = chunk;
+    refresh_read(c);
   }
-  for (const auto& [page, node] : t.pages_) {
-    nodes_[page] = node;
-    read_[page] = node->data;
-  }
+  resident_ = t.resident_pages_;
+  nonzero_ = t.nonzero_pages_;
   ++cow_adopts_;
   return true;
 }
 
 void PhysMem::retire_all_code() {
-  for (u32 p = 0; p < static_cast<u32>(code_.size()); ++p) {
-    if (code_[p] != 0) retire_page(p);
+  for (u32 w = 0; w < static_cast<u32>(code_pages_.size()); ++w) {
+    for (u64 bits = std::exchange(code_pages_[w], 0); bits != 0;
+         bits &= bits - 1) {
+      const u32 p = w * 64 + u32(std::countr_zero(bits));
+      if (code_[p] != 0) retire_page(p);
+    }
   }
 }
 
 void PhysMem::cow_census(u64* zero, u64* shared, u64* owned) const {
+  const u32 pages = static_cast<u32>(read_.size());
   u64 z = 0, s = 0, o = 0;
-  for (const CowPage* n : nodes_) {
-    if (n == nullptr) {
-      ++z;
-    } else if (n->refs.load(std::memory_order_relaxed) > 1) {
-      ++s;
+  for (u32 c = 0; c < static_cast<u32>(top_.size()); ++c) {
+    const CowChunk* chunk = top_[c];
+    const u32 n = std::min<u32>(kChunkPages, pages - (c << kChunkBits));
+    if (chunk == nullptr) {
+      z += n;
+    } else if (chunk->refs.load(std::memory_order_relaxed) > 1) {
+      s += chunk->resident;
+      z += n - chunk->resident;
     } else {
-      ++o;
+      for (u32 i = 0; i < n; ++i) {
+        const CowPage* f = chunk->frames[i];
+        if (f == nullptr) {
+          ++z;
+        } else if (f->refs.load(std::memory_order_relaxed) > 1) {
+          ++s;
+        } else {
+          ++o;
+        }
+      }
     }
   }
   if (zero) *zero = z;
@@ -130,16 +225,14 @@ void PhysMem::register_metrics(MetricsRegistry& reg) {
 
 void PhysMem::save(SnapshotWriter& w) const {
   w.put_u32(size_bytes_);
-  const u32 pages = size() >> kPageBits;
-  u32 nonzero = 0;
-  for (u32 p = 0; p < pages; ++p) {
-    if (!page_is_zero(p)) ++nonzero;
-  }
-  w.put_u32(nonzero);
-  for (u32 p = 0; p < pages; ++p) {
-    if (page_is_zero(p)) continue;
-    w.put_u32(p);
-    w.put_bytes(nodes_[p]->data, kPageSize);
+  w.put_u32(nonzero_pages());
+  for (u32 c = 0; c < static_cast<u32>(top_.size()); ++c) {
+    const CowChunk* chunk = top_[c];
+    for (u64 bits = chunk ? chunk->nonzero : 0; bits != 0; bits &= bits - 1) {
+      const u32 p = (c << kChunkBits) + u32(std::countr_zero(bits));
+      w.put_u32(p);
+      w.put_bytes(read_[p], kPageSize);
+    }
   }
 }
 
@@ -156,11 +249,12 @@ bool PhysMem::restore(SnapshotReader& r) {
   if (nonzero == kExternalPages) return true;
   const u32 pages = size() >> kPageBits;
   retire_all_code();
-  for (u32 p = 0; p < static_cast<u32>(nodes_.size()); ++p) drop_page(p);
+  drop_all();
   for (u32 i = 0; i < nonzero; ++i) {
     const u32 p = r.get_u32();
     if (p >= pages) return false;
-    r.get_bytes(own_page_nocopy(p), kPageSize);
+    u8* dst = writable_[p];
+    r.get_bytes(dst ? dst : cow_fault(p, /*keep_bytes=*/false), kPageSize);
   }
   return true;
 }

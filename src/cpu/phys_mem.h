@@ -1,13 +1,26 @@
 // Physical memory of the simulated machine: page-granular copy-on-write
-// frames, per-page code masks and write versions, and protected ranges.
+// frames under a two-level page table, per-page code masks and write
+// versions, and protected ranges.
 //
-// Pages live in refcounted CowPage frames. A machine normally owns its
-// frames exclusively (refs == 1) and writes go straight through; capturing
-// a CowPages table (capture_cow) or adopting one (adopt_cow) shares frames
-// between a machine and its checkpoints / forked sibling timelines, and the
-// first write to a shared frame copies it (cow_fault). All-zero pages that
-// were never written are a null-frame sentinel backed by one static zero
-// page, so a 64 MiB machine that touches 2 MiB costs 2 MiB.
+// Pages live in refcounted CowPage frames, grouped 64 to a refcounted
+// CowChunk; the machine's top table points at its chunks. A chunk's count is
+// the number of page tables (a PhysMem or a CowPages capture) that hold it,
+// and a frame's count is the number of chunks that point to it. Capturing
+// (capture_cow) retains the machine's chunks, so a capture costs one atomic
+// per resident chunk, not per page; copying or releasing a capture costs the
+// same. The machine's first write to a shared chunk copies the chunk (its
+// frames are retained, not copied), and its first write to a shared frame
+// copies the frame (cow_fault). All-zero pages that were never written are
+// null frames backed by one static zero page, and an all-zero run of 64
+// pages is a null chunk, so a 64 MiB machine that touches 2 MiB costs 2 MiB.
+//
+// Stores go through a flat writable mirror: a page's slot holds its frame
+// while the machine alone holds both its chunk and its frame, and null
+// otherwise. A page enters the mirror on its first write after a capture,
+// adopt or restore, and is appended to a dirty list then; capture and adopt
+// clear the mirror for the listed pages only. Per-chunk nonzero-page bits
+// are exact for every page outside the mirror, so nonzero_pages() rescans
+// only the listed pages.
 //
 // COW faults are host-side bookkeeping only: they charge no simulated
 // cycles, so a timeline forked from a checkpoint replays bit-identically to
@@ -55,12 +68,29 @@ inline constexpr u32 kPageBits = 12;
 inline constexpr u32 kPageSize = 1u << kPageBits;
 inline constexpr u32 kPageMask = kPageSize - 1;
 
-/// One refcounted physical page frame. The refcount is atomic because
-/// forked sibling timelines holding references run on fleet worker threads;
-/// frame *contents* are only ever written while exclusively owned.
+/// One refcounted physical page frame. Its count is the number of chunks
+/// that point to it. The refcount is atomic because forked sibling
+/// timelines holding references run on fleet worker threads; frame
+/// *contents* are only ever written while exclusively held.
 struct CowPage {
   std::atomic<u32> refs{1};
   u8 data[kPageSize];
+};
+
+/// Pages per chunk of the two-level page table.
+inline constexpr u32 kChunkBits = 6;
+inline constexpr u32 kChunkPages = 1u << kChunkBits;
+
+/// One refcounted run of kChunkPages page slots. Its count is the number of
+/// page tables holding it; its fields change only while one table holds it
+/// alone.
+struct CowChunk {
+  std::atomic<u32> refs{1};
+  u32 resident = 0;  // non-null frames
+  /// Bit i: frame i holds a nonzero byte. Exact for every page outside its
+  /// machine's writable mirror, so exact whenever the chunk is shared.
+  u64 nonzero = 0;
+  CowPage* frames[kChunkPages] = {};
 };
 
 namespace cow_detail {
@@ -70,14 +100,24 @@ inline void retain(CowPage* p) {
 inline void release(CowPage* p) {
   if (p && p->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) delete p;
 }
+inline void retain(CowChunk* c) {
+  if (c) c->refs.fetch_add(1, std::memory_order_relaxed);
+}
+/// A chunk that dies releases its frames.
+inline void release(CowChunk* c) {
+  if (c && c->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    for (CowPage* f : c->frames) release(f);
+    delete c;
+  }
+}
 }  // namespace cow_detail
 
-/// A retained capture of one PhysMem's contents: shared refcounted frames
-/// for every resident (non-sentinel) page. Copyable (copies retain the
-/// frames) and cheap to take: O(pages) pointer work, no byte copies.
-/// `fresh_pages()` counts frames the captured machine still owned
-/// exclusively at capture time — exactly the pages dirtied since the
-/// previous capture, i.e. the bytes a delta checkpoint newly pays for.
+/// A retained capture of one PhysMem's contents: its resident chunks, shared
+/// and refcounted. Copyable (copies retain the chunks) and cheap to take,
+/// copy and release: one atomic per resident chunk, no byte copies.
+/// `fresh_pages()` counts frames no other capture or fork could see at
+/// capture time — the pages dirtied since the previous capture, i.e. the
+/// bytes a delta checkpoint newly pays for.
 class CowPages {
  public:
   CowPages() = default;
@@ -86,9 +126,12 @@ class CowPages {
     if (this == &o) return *this;
     release_all();
     size_bytes_ = o.size_bytes_;
+    resident_pages_ = o.resident_pages_;
+    nonzero_pages_ = o.nonzero_pages_;
     fresh_pages_ = o.fresh_pages_;
-    pages_ = o.pages_;
-    for (auto& [page, node] : pages_) cow_detail::retain(node);
+    fresh_chunks_ = o.fresh_chunks_;
+    chunks_ = o.chunks_;
+    for (auto& [index, chunk] : chunks_) cow_detail::retain(chunk);
     return *this;
   }
   CowPages(CowPages&& o) noexcept { swap(o); }
@@ -104,50 +147,62 @@ class CowPages {
   bool empty() const { return size_bytes_ == 0; }
   u32 size_bytes() const { return size_bytes_; }
   /// Resident (non-zero-sentinel) pages this capture references.
-  u64 resident_pages() const { return pages_.size(); }
-  /// Pages exclusively owned by the machine at capture time (dirtied since
-  /// the previous capture) — the frames this capture alone keeps alive.
+  u64 resident_pages() const { return resident_pages_; }
+  /// Frames the captured machine alone held at capture time (dirtied since
+  /// the previous capture) — the frames this capture alone keeps alive once
+  /// the machine writes them again.
   u64 fresh_pages() const { return fresh_pages_; }
   /// Bytes this capture retains beyond what it shares with older captures:
-  /// fresh frames plus the sparse index entries. This is the honest
-  /// marginal memory cost of keeping the capture in a checkpoint ring.
+  /// fresh frames, fresh chunks and the sparse chunk index. This is the
+  /// honest marginal memory cost of keeping the capture in a checkpoint
+  /// ring.
   u64 retained_bytes() const {
-    return fresh_pages_ * kPageSize +
-           pages_.size() * (sizeof(u32) + sizeof(CowPage*));
+    return fresh_pages_ * kPageSize + fresh_chunks_ * sizeof(CowChunk) +
+           chunks_.size() * (sizeof(u32) + sizeof(CowChunk*));
   }
 
  private:
   friend class PhysMem;
   void release_all() {
-    for (auto& [page, node] : pages_) cow_detail::release(node);
-    pages_.clear();
+    for (auto& [index, chunk] : chunks_) cow_detail::release(chunk);
+    chunks_.clear();
     size_bytes_ = 0;
-    fresh_pages_ = 0;
+    resident_pages_ = nonzero_pages_ = fresh_pages_ = fresh_chunks_ = 0;
   }
   void swap(CowPages& o) {
     std::swap(size_bytes_, o.size_bytes_);
+    std::swap(resident_pages_, o.resident_pages_);
+    std::swap(nonzero_pages_, o.nonzero_pages_);
     std::swap(fresh_pages_, o.fresh_pages_);
-    pages_.swap(o.pages_);
+    std::swap(fresh_chunks_, o.fresh_chunks_);
+    chunks_.swap(o.chunks_);
   }
 
   u32 size_bytes_ = 0;
+  u64 resident_pages_ = 0;
+  u32 nonzero_pages_ = 0;  // the machine's nonzero_pages() at capture
   u64 fresh_pages_ = 0;
-  std::vector<std::pair<u32, CowPage*>> pages_;  // sorted by page index
+  u64 fresh_chunks_ = 0;  // chunks the machine alone held at capture
+  std::vector<std::pair<u32, CowChunk*>> chunks_;  // sorted by chunk index
 };
 
 class PhysMem {
  public:
   explicit PhysMem(u32 size_bytes)
       : size_bytes_(size_bytes),
-        nodes_((size_bytes + kPageMask) >> kPageBits, nullptr),
+        top_((((size_bytes + kPageMask) >> kPageBits) + kChunkPages - 1) >>
+                 kChunkBits,
+             nullptr),
         read_((size_bytes + kPageMask) >> kPageBits, zero_page()),
+        writable_(read_.size(), nullptr),
         versions_((size_bytes >> kPageBits) + 1, 0),
-        code_(versions_.size(), 0) {}
+        code_(versions_.size(), 0),
+        code_pages_((code_.size() + 63) / 64, 0) {}
   ~PhysMem();
-  // Copying would need frame-refcount bookkeeping nothing wants; forks go
-  // through capture_cow/adopt_cow instead. Move keeps by-value holders
-  // (CpuHarness, Machine under NRVO) working: vector moves leave the
-  // source's frame table empty, so no double-release.
+  // Copying would need refcount bookkeeping nothing wants; forks go through
+  // capture_cow/adopt_cow instead. Move keeps by-value holders (CpuHarness,
+  // Machine under NRVO) working: vector moves leave the source's chunk
+  // table empty, so no double-release.
   PhysMem(const PhysMem&) = delete;
   PhysMem& operator=(const PhysMem&) = delete;
   PhysMem(PhysMem&&) noexcept = default;
@@ -262,7 +317,9 @@ class PhysMem {
   void mark_code(PAddr a, u32 len) {
     const u32 lo = (a & kPageMask) >> kCodeChunkBits;
     const u32 hi = ((a + len - 1) & kPageMask) >> kCodeChunkBits;
-    code_[a >> kPageBits] |= chunk_span(lo, hi);
+    const u32 page = a >> kPageBits;
+    code_[page] |= chunk_span(lo, hi);
+    code_pages_[page >> 6] |= u64{1} << (page & 63);
   }
   /// Retires every page whose marked chunks [a, a+len) overlaps: bumps its
   /// version and clears its mask. Every write calls this before it lands;
@@ -295,29 +352,28 @@ class PhysMem {
   }
 
   /// Pages with at least one nonzero byte — what a sparse snapshot copies.
+  /// Rescans only the pages written since the last capture or adopt.
   u32 nonzero_pages() const {
-    const u32 pages = size() >> kPageBits;
-    u32 n = 0;
-    for (u32 p = 0; p < pages; ++p) {
-      if (!page_is_zero(p)) ++n;
-    }
-    return n;
+    sync_nonzero();
+    return nonzero_;
   }
 
   // --- copy-on-write capture / adopt ---
   /// Retain the current contents as a shared page table. After capture the
-  /// machine's resident frames are shared (refs >= 2); its next write to
-  /// each one copies the frame first. Charge-free and version-neutral.
+  /// machine's resident chunks are shared; its next write to each one copies
+  /// the chunk, then the frame. Charge-free and version-neutral.
   CowPages capture_cow();
   /// Replace the current contents with a previously captured table, after
-  /// retiring every page that holds decoded code. Frames become shared with
-  /// the capture; writes after adoption copy-on-write. False on size
-  /// mismatch. Self-adoption safe.
+  /// retiring every page that holds decoded code. Chunks become shared with
+  /// the capture; writes after adoption copy-on-write. Only chunks that
+  /// differ from the capture's are swapped. False on size mismatch.
+  /// Self-adoption safe.
   bool adopt_cow(const CowPages& t);
 
   // --- host-side accounting (never serialized; mem.cow.* metrics) ---
   u64 cow_faults() const { return cow_faults_; }
   /// Page census for gauges: zero-sentinel / shared / exclusively owned.
+  /// Walks the chunks; looks into frames only for chunks held alone.
   void cow_census(u64* zero, u64* shared, u64* owned) const;
   /// mem.cow.* metrics — all host-side (fork/debugger activity), so
   /// replay_exact=false.
@@ -346,31 +402,31 @@ class PhysMem {
 
   static const u8* zero_page();
 
-  bool page_is_zero(u32 page) const {
-    const CowPage* n = nodes_[page];
-    if (n == nullptr) return true;
-    for (u32 i = 0; i < kPageSize; ++i) {
-      if (n->data[i] != 0) return false;
-    }
-    return true;
-  }
-
-  /// Writable frame for `page`: owned fast path, else copy-on-write fault.
+  /// Writable frame for `page`: one flat load on the fast path, else the
+  /// copy-on-write slow path.
   u8* wpage(u32 page) {
-    CowPage* n = nodes_[page];
-    if (n && n->refs.load(std::memory_order_acquire) == 1) [[likely]] {
-      return n->data;
-    }
+    u8* w = writable_[page];
+    if (w != nullptr) [[likely]] return w;
     return cow_fault(page);
   }
   /// Raw byte store without code retirement (callers already retired).
   void put8(PAddr a, u8 v) { wpage(a >> kPageBits)[a & kPageMask] = v; }
-  u8* cow_fault(u32 page);
-  /// Release `page` back to the all-zero sentinel.
-  void drop_page(u32 page);
-  /// Exclusively-owned frame for `page` whose prior contents the caller
-  /// will fully overwrite (no copy of shared contents).
-  u8* own_page_nocopy(u32 page);
+  /// Makes `page`'s chunk and frame exclusive, copying each only when it is
+  /// shared (a new frame counts one mem.cow.fault), then enters the page in
+  /// the writable mirror and the dirty list. Without `keep_bytes` a new
+  /// frame is left for the caller to fill and counts no fault.
+  u8* cow_fault(u32 page, bool keep_bytes = true);
+  /// Replaces the shared chunk `c` with a private copy that retains the
+  /// same frames.
+  CowChunk* unshare_chunk(u32 c);
+  /// Empties the writable mirror and the dirty list.
+  void clear_writable();
+  /// Releases every chunk: all memory reads as zero.
+  void drop_all();
+  /// Points read_ at chunk `c`'s frames.
+  void refresh_read(u32 c);
+  /// Brings the nonzero bits and count up to date for the dirty pages.
+  void sync_nonzero() const;
 
   /// Code-mask granularity: one mask bit per 64-byte chunk, 64 per page.
   static constexpr u32 kCodeChunkBits = 6;
@@ -382,7 +438,8 @@ class PhysMem {
     ++versions_[page];
     code_[page] = 0;
   }
-  /// Retires every page with decoded code (before contents are replaced).
+  /// Retires every page with decoded code (before contents are replaced),
+  /// visiting only the pages marked since the last call.
   void retire_all_code();
 
   struct Range {
@@ -390,15 +447,32 @@ class PhysMem {
     u32 len;
   };
   u32 size_bytes_ = 0;
-  std::vector<CowPage*> nodes_;
-  // Read-pointer mirror of nodes_ (static zero page for null slots); purely
-  // derived, rebuilt by every nodes_ mutation. snap:skip(derived from nodes_)
+  // Chunk table, kChunkPages pages per slot; null = all-zero pages.
+  // snap:skip(save writes the pages it points to)
+  std::vector<CowChunk*> top_;
+  // Read-pointer mirror of the frames (static zero page for null slots);
+  // purely derived, rebuilt by every table mutation.
+  // snap:skip(derived from top_)
   std::vector<const u8*> read_;
+  // Writable mirror: a page's frame while the machine alone holds its chunk
+  // and frame and the page is in dirty_, else null.
+  // snap:skip(derived from top_)
+  std::vector<u8*> writable_;
+  // Pages entered in writable_ since the last capture, adopt or restore.
+  // snap:skip(derived from top_)
+  std::vector<u32> dirty_;
+  // Non-null frames. snap:skip(derived from top_)
+  u64 resident_ = 0;
+  // Set nonzero bits across the chunks. snap:skip(derived from top_)
+  mutable u32 nonzero_ = 0;
   // Host decode history (see the header comment), which restore retires
   // instead of rolling back. snap:skip(host decode history)
   std::vector<u64> versions_;
   // One bit per 64-byte chunk of decoded bytes. snap:skip(host decode history)
   std::vector<u64> code_;
+  // One bit per page marked since the last retire_all_code: a superset of
+  // the pages with a nonzero code_ mask. snap:skip(host decode history)
+  std::vector<u64> code_pages_;
   // Install-time monitor ranges; restore targets an installed machine
   // where they are already in place. snap:skip(install-time)
   std::vector<Range> protected_;

@@ -249,11 +249,20 @@ void Machine::save(SnapshotWriter& w, bool external_mem) const {
   w.end_section();
 }
 
-bool Machine::restore(SnapshotReader& r) {
-  if (!r.ok()) return false;
+bool Machine::fits(SnapshotReader& r) const {
+  for (SnapTag tag :
+       {SnapTag::kCpu, SnapTag::kMmu, SnapTag::kPhysMem, SnapTag::kPic,
+        SnapTag::kIrqPerturb, SnapTag::kPit, SnapTag::kUart, SnapTag::kNic,
+        SnapTag::kScsi, SnapTag::kDiag}) {
+    if (!r.has_section(tag)) return false;
+  }
   if (!r.open_section(SnapTag::kMachine)) return false;
-  if (r.get_u32() != cfg_.mem_bytes) return false;
-  if (r.get_u32() != cfg_.num_disks) return false;
+  return r.get_u32() == cfg_.mem_bytes && r.get_u32() == cfg_.num_disks &&
+         r.ok();
+}
+
+bool Machine::restore(SnapshotReader& r) {
+  if (!fits(r)) return false;
   frozen_ = r.get_bool();
   const bool has_exit = r.get_bool();
   const u32 exit_code = r.get_u32();

@@ -115,9 +115,14 @@ class Machine final : public Clock {
   /// the caller keeps the contents out-of-band as a CowPages capture and
   /// must adopt_cow() *before* restoring such a stream (delta checkpoints).
   void save(SnapshotWriter& w, bool external_mem = false) const;
-  /// Restores from a validated snapshot. Returns false (machine unchanged
-  /// or partially restored — treat as fatal) when the stream is rejected or
-  /// was taken from a differently configured machine.
+  /// True when `r` was saved from a machine configured like this one
+  /// (memory size, disk count) and holds every section restore() opens.
+  /// Applies nothing; leaves the cursor past the kMachine configuration
+  /// words.
+  bool fits(SnapshotReader& r) const;
+  /// Restores from a validated snapshot. Returns false when the stream is
+  /// rejected or does not fit (machine unchanged), or when a section is
+  /// short (machine partially restored — treat as fatal).
   bool restore(SnapshotReader& r);
 
   /// Host tooling: make the current/next run_for return kExternalStop.
@@ -146,6 +151,8 @@ class Machine final : public Clock {
   void clear_guest_exit() { guest_exit_.reset(); }
 
  private:
+  // Saved as a configuration echo that fits() checks, never restored.
+  // snap:skip(construction-time configuration)
   MachineConfig cfg_;
   // Only next_seq is serialized, and it is applied after every device has
   // re-armed its events. snap:reorder(applied after schedule_restored)

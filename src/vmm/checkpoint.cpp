@@ -9,10 +9,8 @@ Checkpoint capture_checkpoint(Lvmm& mon) {
   Checkpoint cp;
   cp.icount = m.cpu().stats().instructions;
   cp.cycles = m.now();
-  // The stream buffer is allocated before the COW index on purpose: the
-  // heap layout each order leaves measurably moves peak RSS and host time.
-  SnapshotWriter w;
   cp.mem = m.mem().capture_cow();
+  SnapshotWriter w;
   m.save(w, /*external_mem=*/true);
   mon.save(w);
   cp.bytes = w.finish();
@@ -22,7 +20,9 @@ Checkpoint capture_checkpoint(Lvmm& mon) {
 
 bool restore_checkpoint(hw::Machine& m, Lvmm* mon, const Checkpoint& cp) {
   SnapshotReader r(cp.bytes);
-  if (!r.ok()) return false;
+  // Nothing is applied until the stream fits this machine and monitor, so a
+  // rejected restore leaves both exactly as they were.
+  if (!m.fits(r) || (mon != nullptr && !mon->fits(r))) return false;
   // Adopt the COW image before walking the stream: the stream's PhysMem
   // section is an external-contents sentinel, and the monitor's restore
   // may consult guest memory.

@@ -29,11 +29,11 @@ struct Checkpoint {
   /// external-contents sentinel and `mem` carries the actual pages.
   std::vector<u8> bytes;
   /// COW page-table capture (empty for a full stream). Copying a
-  /// Checkpoint retains the shared frames — cheap.
+  /// Checkpoint retains the shared chunks — cheap.
   cpu::CowPages mem;
   /// Marginal bytes this checkpoint keeps alive: stream size plus the
-  /// freshly-dirtied frames and the sparse index (frames shared with older
-  /// captures are not re-counted).
+  /// freshly-dirtied frames and chunks and the sparse chunk index (what it
+  /// shares with older captures is not re-counted).
   u64 stored_bytes = 0;
 };
 

@@ -451,8 +451,16 @@ void Lvmm::save(SnapshotWriter& w) const {
   w.end_section();
 }
 
+bool Lvmm::fits(const SnapshotReader& r) const {
+  for (SnapTag tag : {SnapTag::kLvmm, SnapTag::kVpic, SnapTag::kShadowMmu,
+                      SnapTag::kGuestMem}) {
+    if (!r.has_section(tag)) return false;
+  }
+  return true;
+}
+
 bool Lvmm::restore(SnapshotReader& r) {
-  if (!r.open_section(SnapTag::kLvmm)) return false;
+  if (!fits(r) || !r.open_section(SnapTag::kLvmm)) return false;
   vcpu_.vif = r.get_bool();
   vcpu_.vcpl = r.get_u8();
   for (u32& c : vcpu_.vcr) c = r.get_u32();

@@ -173,6 +173,8 @@ class Lvmm : public cpu::TrapHook {
   /// construction). The debug delegate and tracer are host wiring and are
   /// untouched.
   void save(SnapshotWriter& w) const;
+  /// True when `r` holds every section restore() opens. Applies nothing.
+  bool fits(const SnapshotReader& r) const;
   bool restore(SnapshotReader& r);
 
  protected:
