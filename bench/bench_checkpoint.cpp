@@ -7,8 +7,9 @@
 // span. guest_instr_retained_pct is that ratio against an uncheckpointed
 // baseline — the CI regression gate watches it alongside the trap-cost
 // counters. Also measures the reverse-stepi round trip (restore + replay),
-// the operation an interactive reverse-debugging session waits on, and the
-// host cost of one capture and one restore.
+// the operation an interactive reverse-debugging session waits on, the
+// host cost of one capture and one restore, and the host cost of the RSP
+// operations a developer issues at a stop.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -18,9 +19,12 @@
 #include <vector>
 
 #include "common/units.h"
+#include "debug/remote_debugger.h"
+#include "guest/layout.h"
 #include "guest/minitactix.h"
 #include "harness/platform.h"
 #include "vmm/checkpoint.h"
+#include "vmm/stub.h"
 #include "vmm/time_travel.h"
 
 namespace {
@@ -38,6 +42,17 @@ struct RunResult {
   u64 full_streams = 0;
   u64 full_bytes = 0;
 };
+
+using Clock = std::chrono::steady_clock;
+
+double us_since(Clock::time_point t0) {
+  return std::chrono::duration<double, std::micro>(Clock::now() - t0).count();
+}
+
+double median(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
+}
 
 RunResult run_with_interval(u64 interval, bool measure_full = false) {
   Platform p(PlatformKind::kLvmm);
@@ -156,16 +171,12 @@ BENCHMARK(BM_ReverseStepi)->Iterations(3)->Unit(benchmark::kMillisecond);
 // instructions, captures into an 8-deep ring (releasing the oldest, as the
 // time-travel ring does), runs 20 000 more, then restores the capture: one
 // interval back, like a reverse step. capture_us and restore_us are the
-// medians over the rounds. Host time, so no CI baseline holds them.
+// medians over the rounds; stream_bytes is one capture's stream. Host
+// time, so no CI baseline holds capture_us or restore_us.
 void BM_CaptureRestore(benchmark::State& state) {
   constexpr u64 kInterval = 20'000;
   constexpr std::size_t kRing = 8;
   constexpr int kRounds = 200;
-  using Clock = std::chrono::steady_clock;
-  const auto us_since = [](Clock::time_point t0) {
-    return std::chrono::duration<double, std::micro>(Clock::now() - t0)
-        .count();
-  };
   for (auto _ : state) {
     state.PauseTiming();
     Platform p(PlatformKind::kLvmm);
@@ -191,18 +202,70 @@ void BM_CaptureRestore(benchmark::State& state) {
       restore_us.push_back(us_since(t0));
       if (!ok) state.SkipWithError("restore_checkpoint failed");
     }
-    const auto median = [](std::vector<double> v) {
-      std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
-      return v[v.size() / 2];
-    };
     state.counters["capture_us"] = median(capture_us);
     state.counters["restore_us"] = median(restore_us);
     state.counters["resident_pages"] =
         double(ring.back().mem.resident_pages());
+    state.counters["stream_bytes"] = double(ring.back().bytes.size());
     state.ResumeTiming();
   }
 }
 BENCHMARK(BM_CaptureRestore)->Iterations(1)->Unit(benchmark::kMillisecond);
+
+// Host cost of the RSP operations a developer issues at a stop: an LVMM
+// guest at 60 Mbps with a stub and time travel (interval 20 000, ring 16),
+// broken into after 30 ms. Each round reads the registers (g), reads 64
+// bytes of the mailbox (m) and single-steps (s, whose stub anchors a
+// checkpoint first). g_us, m64_us and stepi_us are the medians over the
+// rounds; events_per_g is the events one g schedules, one per byte the
+// UART carries. Host time, so no CI baseline holds the times.
+void BM_StopRoundTrip(benchmark::State& state) {
+  using StopKind = debug::RemoteDebugger::StopKind;
+  constexpr int kRounds = 2000;
+  for (auto _ : state) {
+    state.PauseTiming();
+    Platform p(PlatformKind::kLvmm);
+    p.prepare(guest::RunConfig::for_rate_mbps(60.0));
+    vmm::DebugStub* stub = p.unit().attach_stub();
+    vmm::TimeTravel::Config cfg;
+    cfg.interval = 20'000;
+    cfg.ring = 16;
+    vmm::TimeTravel tt(*p.monitor(), cfg);
+    stub->set_time_travel(&tt);
+    debug::RemoteDebugger dbg(p.machine());
+    const EventQueue& events = p.machine().events();
+    bool ok = dbg.connect();
+    tt.enable();
+    p.machine().run_for(seconds_to_cycles(0.03));
+    ok = ok && dbg.interrupt() == StopKind::kBreak;
+    std::vector<double> g_us, m64_us, stepi_us;
+    u64 g_events = 0;
+    for (int i = 0; i < kRounds && ok; ++i) {
+      const u64 seq0 = events.next_seq();
+      auto t0 = Clock::now();
+      ok = dbg.read_registers().has_value();
+      g_us.push_back(us_since(t0));
+      g_events += events.next_seq() - seq0;
+      t0 = Clock::now();
+      const auto mem = dbg.read_memory(guest::kMailboxBase, 64);
+      m64_us.push_back(us_since(t0));
+      ok = ok && mem && mem->size() == 64;
+      t0 = Clock::now();
+      ok = ok && dbg.step() == StopKind::kBreak;
+      stepi_us.push_back(us_since(t0));
+    }
+    if (!ok) {
+      state.SkipWithError("debugger operation failed at a stop");
+      break;
+    }
+    state.counters["g_us"] = median(g_us);
+    state.counters["m64_us"] = median(m64_us);
+    state.counters["stepi_us"] = median(stepi_us);
+    state.counters["events_per_g"] = double(g_events) / kRounds;
+    state.ResumeTiming();
+  }
+}
+BENCHMARK(BM_StopRoundTrip)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -1,93 +1,104 @@
 #include "common/event_queue.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace vdbg {
 
-EventId EventQueue::schedule_at(Cycles deadline, Callback cb,
-                                std::string_view name) {
-  const EventId id = next_id_++;
-  // The name is only materialised under tracing; the common path stores an
-  // empty string (no allocation, small-string or default-constructed).
-  heap_.push(Entry{deadline, next_seq_++, id, std::move(cb),
-                   name_tracing_ ? std::string(name) : std::string()});
-  ++live_count_;
+EventId EventQueue::push(Cycles deadline, u64 seq, Callback cb,
+                         std::string_view name) {
+  u32 slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<u32>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Slot& s = slots_[slot];
+  s.cb = std::move(cb);
+  // The name is only materialised under tracing; a freed slot's name is
+  // empty, so the common path stores nothing.
+  if (name_tracing_) s.name.assign(name);
+  const EventId id = (EventId{s.gen} << 32) | slot;
+  heap_.emplace_back();
+  sift_up(static_cast<u32>(heap_.size() - 1), Entry{deadline, seq, slot});
   if (deadline_observer_) deadline_observer_(deadline);
   return id;
 }
 
 std::vector<std::string> EventQueue::pending_names() const {
+  std::vector<Entry> order(heap_);
+  std::sort(order.begin(), order.end(), before);
   std::vector<std::string> out;
-  auto copy = heap_;
-  while (!copy.empty()) {
-    const Entry& e = copy.top();
-    if (!cancelled_.count(e.id)) {
-      out.push_back(e.name.empty() ? "?" : e.name);
-    }
-    copy.pop();
+  out.reserve(order.size());
+  for (const Entry& e : order) {
+    const std::string& name = slots_[e.slot].name;
+    out.push_back(name.empty() ? "?" : name);
   }
   return out;
 }
 
 bool EventQueue::cancel(EventId id) {
-  if (id == 0 || id >= next_id_) return false;
-  // Lazy deletion: mark the id; the entry is discarded when it reaches the
-  // top of the heap.
-  if (!cancelled_.insert(id).second) return false;
-  if (live_count_ > 0) --live_count_;
+  const u32 slot = find(id);
+  if (slot == kNone) return false;
+  // The callback dies on return, after the queue is consistent again.
+  const Callback dead = take(slots_[slot].pos);
   return true;
 }
 
-std::optional<EventQueue::EventInfo> EventQueue::info(EventId id) const {
-  if (id == 0 || id >= next_id_ || cancelled_.count(id)) return std::nullopt;
-  auto copy = heap_;
-  while (!copy.empty()) {
-    const Entry& e = copy.top();
-    if (e.id == id) return EventInfo{e.deadline, e.seq};
-    copy.pop();
+EventQueue::Callback EventQueue::take(u32 pos) {
+  Slot& s = slots_[heap_[pos].slot];
+  Callback cb = std::move(s.cb);
+  s.cb = nullptr;
+  s.name.clear();
+  s.pos = kNone;
+  if (++s.gen == 0) s.gen = 1;  // ids are never zero
+  free_slots_.push_back(heap_[pos].slot);
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  if (pos < heap_.size()) {
+    // The last entry fills the hole and moves whichever way it is out of
+    // order.
+    if (pos > 0 && before(last, heap_[(pos - 1) / 2])) {
+      sift_up(pos, last);
+    } else {
+      sift_down(pos, last);
+    }
   }
-  return std::nullopt;
+  return cb;
 }
 
-EventId EventQueue::schedule_restored(Cycles deadline, u64 seq, Callback cb,
-                                      std::string_view name) {
-  const EventId id = next_id_++;
-  heap_.push(Entry{deadline, seq, id, std::move(cb),
-                   name_tracing_ ? std::string(name) : std::string()});
-  ++live_count_;
-  if (next_seq_ <= seq) next_seq_ = seq + 1;
-  if (deadline_observer_) deadline_observer_(deadline);
-  return id;
+void EventQueue::sift_up(u32 pos, const Entry& e) {
+  while (pos > 0) {
+    const u32 parent = (pos - 1) / 2;
+    if (!before(e, heap_[parent])) break;
+    place(pos, heap_[parent]);
+    pos = parent;
+  }
+  place(pos, e);
 }
 
-std::optional<Cycles> EventQueue::next_deadline() const {
-  // Cancelled entries may sit on top of the heap; peel them conceptually.
-  // The heap is immutable here, so copy-scan the top region only when the
-  // top is cancelled (rare in practice).
-  if (live_count_ == 0) return std::nullopt;
-  if (!cancelled_.count(heap_.top().id)) return heap_.top().deadline;
-  // Slow path: scan a copy.
-  auto copy = heap_;
-  while (!copy.empty()) {
-    if (!cancelled_.count(copy.top().id)) return copy.top().deadline;
-    copy.pop();
+void EventQueue::sift_down(u32 pos, const Entry& e) {
+  const u32 n = static_cast<u32>(heap_.size());
+  for (u32 child = 2 * pos + 1; child < n; child = 2 * pos + 1) {
+    if (child + 1 < n && before(heap_[child + 1], heap_[child])) ++child;
+    if (!before(heap_[child], e)) break;
+    place(pos, heap_[child]);
+    pos = child;
   }
-  return std::nullopt;
+  place(pos, e);
 }
 
 int EventQueue::run_until(Cycles now) {
   int fired = 0;
-  while (!heap_.empty() && heap_.top().deadline <= now) {
-    Entry e = heap_.top();
-    heap_.pop();
-    auto it = cancelled_.find(e.id);
-    if (it != cancelled_.end()) {
-      cancelled_.erase(it);
-      continue;
-    }
-    --live_count_;
+  while (!heap_.empty() && heap_.front().deadline <= now) {
+    const Cycles deadline = heap_.front().deadline;
+    // The callback leaves its slot before it runs: it may schedule events
+    // (growing the slot table) or cancel others.
+    const Callback cb = take(0);
     ++fired;
-    e.cb(e.deadline);
+    cb(deadline);
   }
   return fired;
 }

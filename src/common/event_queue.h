@@ -4,21 +4,28 @@
 // absolute cycle deadlines (disk completion, NIC transmit done, PIT tick,
 // UART byte arrival). The machine loop fires due events between instructions
 // and fast-forwards the clock across HLT.
+//
+// Storage: a slot table owns each pending event's callback (and, under name
+// tracing, its label), and a binary heap orders small (deadline, seq, slot)
+// entries. Each slot records where its entry sits in the heap, so cancel()
+// takes the entry out of the heap at once and info() reads it in place;
+// firing moves only the callback out of its slot. An EventId names a slot
+// and the slot's generation, which moves on each time the slot is freed, so
+// an id whose event fired or was cancelled never matches again.
 #pragma once
 
 #include <functional>
 #include <optional>
-#include <queue>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
 #include "common/types.h"
 
 namespace vdbg {
 
-/// Handle for cancelling a scheduled event.
+/// Handle for cancelling a scheduled event. Opaque and never zero; ids are
+/// host-side handles, not part of any snapshot.
 using EventId = u64;
 
 class EventQueue {
@@ -38,7 +45,10 @@ class EventQueue {
   /// for the same deadline fire in scheduling order. `name` is a debug
   /// label: it is only materialised when name tracing is on, so the hot
   /// scheduling path never heap-allocates for it.
-  EventId schedule_at(Cycles deadline, Callback cb, std::string_view name = {});
+  EventId schedule_at(Cycles deadline, Callback cb,
+                      std::string_view name = {}) {
+    return push(deadline, next_seq_++, std::move(cb), name);
+  }
 
   /// Schedules relative to `now`.
   EventId schedule_in(Cycles now, Cycles delay, Callback cb,
@@ -53,8 +63,8 @@ class EventQueue {
   /// name tracing was off (or namelessly) appear as "?". Debug/test aid.
   std::vector<std::string> pending_names() const;
 
-  /// Cancels a pending event. Returns false if it already fired or was
-  /// already cancelled.
+  /// Cancels a pending event and destroys its callback. Returns false if it
+  /// already fired or was already cancelled.
   bool cancel(EventId id);
 
   /// Deadline and sequence number of a live pending event. Devices use this
@@ -64,7 +74,12 @@ class EventQueue {
     Cycles deadline;
     u64 seq;
   };
-  std::optional<EventInfo> info(EventId id) const;
+  std::optional<EventInfo> info(EventId id) const {
+    const u32 slot = find(id);
+    if (slot == kNone) return std::nullopt;
+    const Entry& e = heap_[slots_[slot].pos];
+    return EventInfo{e.deadline, e.seq};
+  }
 
   /// Re-arms a restored event at its original deadline *and* original
   /// sequence number, so events restored in any order keep their original
@@ -72,7 +87,10 @@ class EventQueue {
   /// across restore). Internal counters are advanced past `seq` so future
   /// schedule_at() calls cannot collide with restored events.
   EventId schedule_restored(Cycles deadline, u64 seq, Callback cb,
-                            std::string_view name = {});
+                            std::string_view name = {}) {
+    if (next_seq_ <= seq) next_seq_ = seq + 1;
+    return push(deadline, seq, std::move(cb), name);
+  }
 
   /// Sequence-counter snapshot support. The counter must be restored along
   /// with the devices' events: a replay that only advanced it past the live
@@ -83,37 +101,64 @@ class EventQueue {
   void set_next_seq(u64 seq) { next_seq_ = seq; }
 
   /// Deadline of the earliest pending event, if any.
-  std::optional<Cycles> next_deadline() const;
+  std::optional<Cycles> next_deadline() const {
+    if (heap_.empty()) return std::nullopt;
+    return heap_.front().deadline;
+  }
 
   /// Fires every event with deadline <= now, in deadline order. Callbacks may
   /// schedule further events (including ones due within the same call).
   /// Returns the number of events fired.
   int run_until(Cycles now);
 
-  bool empty() const { return live_count_ == 0; }
-  std::size_t pending() const { return live_count_; }
+  bool empty() const { return heap_.empty(); }
+  std::size_t pending() const { return heap_.size(); }
 
  private:
+  static constexpr u32 kNone = ~u32{0};  // no slot, or no heap position
+
+  /// Heap entry: the firing order key and the slot that owns the event.
   struct Entry {
     Cycles deadline;
     u64 seq;
-    EventId id;
+    u32 slot;
+  };
+  /// One pending event's callback and label. `gen` moves on each time the
+  /// slot is freed; `pos` is the entry's heap index, kNone when free.
+  struct Slot {
     Callback cb;
     std::string name;
+    u32 gen = 1;
+    u32 pos = kNone;
   };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.deadline != b.deadline) return a.deadline > b.deadline;
-      return a.seq > b.seq;
-    }
-  };
+  static bool before(const Entry& a, const Entry& b) {
+    if (a.deadline != b.deadline) return a.deadline < b.deadline;
+    return a.seq < b.seq;
+  }
+
+  EventId push(Cycles deadline, u64 seq, Callback cb, std::string_view name);
+  /// Slot of the live event `id`, or kNone.
+  u32 find(EventId id) const {
+    const u32 slot = static_cast<u32>(id);
+    if (slot >= slots_.size()) return kNone;
+    const Slot& s = slots_[slot];
+    return s.gen == (id >> 32) && s.pos != kNone ? slot : kNone;
+  }
+  /// Takes the entry at heap index `pos` out of the heap, frees its slot
+  /// and hands back its callback.
+  Callback take(u32 pos);
+  void sift_up(u32 pos, const Entry& e);
+  void sift_down(u32 pos, const Entry& e);
+  void place(u32 pos, const Entry& e) {
+    heap_[pos] = e;
+    slots_[e.slot].pos = pos;
+  }
 
   DeadlineObserver deadline_observer_;
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-  std::unordered_set<EventId> cancelled_;
-  std::size_t live_count_ = 0;
+  std::vector<Entry> heap_;
+  std::vector<Slot> slots_;
+  std::vector<u32> free_slots_;
   u64 next_seq_ = 0;
-  EventId next_id_ = 1;
   bool name_tracing_ = false;
 };
 

@@ -1,5 +1,6 @@
 #include "common/snapshot.h"
 
+#include <algorithm>
 #include <array>
 
 namespace vdbg {
@@ -27,20 +28,67 @@ CrcTables make_crc_tables() {
   return t;
 }
 
+// One slice-by-8 step: advances CRC register `c` over data[0, 8).
+inline u32 crc_step8(const CrcTables& t, u32 c, const u8* data) {
+  u32 lo, hi;
+  std::memcpy(&lo, data, 4);
+  std::memcpy(&hi, data + 4, 4);
+  lo ^= c;
+  return t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+         t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][hi & 0xffu] ^
+         t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+}
+
+// Product a * b modulo the CRC polynomial, both polynomials in the
+// reflected bit order the CRC register uses (bit 31 is x^0).
+u32 crc_mulmod(u32 a, u32 b) {
+  u32 p = 0;
+  for (u32 m = 0x80000000u; a != 0; m >>= 1) {
+    if (a & m) {
+      p ^= b;
+      a ^= m;
+    }
+    b = (b & 1) ? (b >> 1) ^ 0xedb88320u : b >> 1;
+  }
+  return p;
+}
+
+// x^(8n) modulo the polynomial: multiplying a CRC register by it is the
+// same as running the register over n zero bytes.
+u32 crc_shift_constant(const CrcTables& t, std::size_t n) {
+  u32 c = 0x80000000u;  // x^0
+  for (std::size_t i = 0; i < n; ++i) c = t[0][c & 0xffu] ^ (c >> 8);
+  return c;
+}
+
+struct CrcLaneShifts {
+  u32 one_lane;   // x^(8 * kCrc32LaneBytes)
+  u32 two_lanes;  // x^(16 * kCrc32LaneBytes)
+};
+
 }  // namespace
 
 u32 crc32(const u8* data, std::size_t len, u32 seed) {
   static const CrcTables t = make_crc_tables();
+  constexpr std::size_t kLane = kCrc32LaneBytes;
   u32 c = seed ^ 0xffffffffu;
-  for (; len >= 8; data += 8, len -= 8) {
-    u32 lo, hi;
-    std::memcpy(&lo, data, 4);
-    std::memcpy(&hi, data + 4, 4);
-    lo ^= c;
-    c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
-        t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][hi & 0xffu] ^
-        t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+  if (len >= 3 * kLane) {
+    static const CrcLaneShifts k{crc_shift_constant(t, kLane),
+                                 crc_shift_constant(t, 2 * kLane)};
+    // Three independent chains hide the table-lookup latency of one. The
+    // CRC register is linear: running it over L0 L1 L2 from c equals
+    // shift(crc(c, L0), 2 lanes) ^ shift(crc(0, L1), 1 lane) ^ crc(0, L2).
+    for (; len >= 3 * kLane; data += 3 * kLane, len -= 3 * kLane) {
+      u32 c0 = c, c1 = 0, c2 = 0;
+      for (std::size_t i = 0; i < kLane; i += 8) {
+        c0 = crc_step8(t, c0, data + i);
+        c1 = crc_step8(t, c1, data + kLane + i);
+        c2 = crc_step8(t, c2, data + 2 * kLane + i);
+      }
+      c = crc_mulmod(k.two_lanes, c0) ^ crc_mulmod(k.one_lane, c1) ^ c2;
+    }
   }
+  for (; len >= 8; data += 8, len -= 8) c = crc_step8(t, c, data);
   for (; len > 0; ++data, --len) c = t[0][(c ^ *data) & 0xffu] ^ (c >> 8);
   return c ^ 0xffffffffu;
 }
@@ -48,6 +96,10 @@ u32 crc32(const u8* data, std::size_t len, u32 seed) {
 SnapshotWriter::SnapshotWriter() {
   put_bytes(reinterpret_cast<const u8*>(kMagic), sizeof(kMagic));
   put_u32(kVersion);
+}
+
+void SnapshotWriter::grow(std::size_t len) {
+  buf_.resize(std::max({buf_.size() * 2, end_ + len, std::size_t{256}}));
 }
 
 void SnapshotWriter::put_blob(const u8* data, std::size_t len) {
@@ -61,23 +113,24 @@ void SnapshotWriter::put_string(const std::string& s) {
 
 void SnapshotWriter::begin_section(SnapTag tag) {
   put_u32(static_cast<u32>(tag));
-  section_len_at_ = buf_.size();
+  section_len_at_ = end_;
   put_u64(0);  // length placeholder, patched in end_section
   in_section_ = true;
 }
 
 void SnapshotWriter::end_section() {
-  const u64 len = buf_.size() - (section_len_at_ + 8);
+  const u64 len = end_ - (section_len_at_ + 8);
   std::memcpy(buf_.data() + section_len_at_, &len, 8);
   in_section_ = false;
 }
 
 std::vector<u8> SnapshotWriter::finish() {
-  const u32 crc = crc32(buf_.data(), buf_.size());
+  const u32 crc = crc32(buf_.data(), end_);
   put_u32(static_cast<u32>(SnapTag::kEnd));
   put_u64(8);
   put_u64(crc);
   finished_ = true;
+  buf_.resize(end_);
   return std::move(buf_);
 }
 

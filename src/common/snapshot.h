@@ -27,6 +27,10 @@ namespace vdbg {
 /// eight bytes per step (slice-by-8). `seed` allows incremental computation:
 /// pass a previous return value.
 u32 crc32(const u8* data, std::size_t len, u32 seed = 0);
+/// crc32 runs each round of three lanes of this many bytes side by side and
+/// joins them by a GF(2) shift; inputs shorter than a round, and the tail
+/// after the last round, take one lane.
+inline constexpr std::size_t kCrc32LaneBytes = 2048;
 
 // Primitives move between host integers and the stream's little-endian bytes
 // with one memcpy each.
@@ -55,7 +59,9 @@ enum class SnapTag : u32 {
   kIrqPerturb = 16,
 };
 
-/// Appends primitives to a growing byte buffer, little-endian.
+/// Appends primitives to a growing byte buffer, little-endian. The writer
+/// tracks its own end inside the buffer and doubles the buffer only when a
+/// put does not fit, so each primitive costs one compare and one memcpy.
 class SnapshotWriter {
  public:
   static constexpr char kMagic[8] = {'V', 'D', 'B', 'G', 'S', 'N', 'A', 'P'};
@@ -71,16 +77,16 @@ class SnapshotWriter {
 
   SnapshotWriter();
 
-  void put_u8(u8 v) { buf_.push_back(v); }
+  void put_u8(u8 v) { put_bytes(&v, 1); }
   void put_u32(u32 v) { put_bytes(reinterpret_cast<const u8*>(&v), 4); }
   void put_u64(u64 v) { put_bytes(reinterpret_cast<const u8*>(&v), 8); }
   void put_bool(bool v) { put_u8(v ? 1 : 0); }
-  /// Appends `len` bytes with one resize and one copy.
+  /// Appends `len` bytes with one capacity check and one copy.
   void put_bytes(const u8* data, std::size_t len) {
     if (len == 0) return;  // `data` may be null
-    const std::size_t at = buf_.size();
-    buf_.resize(at + len);
-    std::memcpy(buf_.data() + at, data, len);
+    if (len > buf_.size() - end_) [[unlikely]] grow(len);
+    std::memcpy(buf_.data() + end_, data, len);
+    end_ += len;
   }
   /// Length-prefixed (u64) byte blob.
   void put_blob(const u8* data, std::size_t len);
@@ -91,11 +97,16 @@ class SnapshotWriter {
   /// Closes the open section, back-patching its length field.
   void end_section();
 
-  /// Appends the CRC32 trailer and returns the finished stream.
+  /// Appends the CRC32 trailer and returns the finished stream, trimmed to
+  /// its end.
   std::vector<u8> finish();
 
  private:
-  std::vector<u8> buf_;
+  /// Doubles the buffer (or more) until `len` more bytes fit past end_.
+  void grow(std::size_t len);
+
+  std::vector<u8> buf_;  // bytes [0, end_) are written; the rest is capacity
+  std::size_t end_ = 0;
   std::size_t section_len_at_ = 0;  // offset of open section's length field
   bool in_section_ = false;
   bool finished_ = false;

@@ -18,7 +18,7 @@ const u8* PhysMem::zero_page() {
   return kZero;
 }
 
-u8* PhysMem::cow_fault(u32 page, bool keep_bytes) {
+u8* PhysMem::cow_fault(u32 page, NewFrame init) {
   const u32 c = page >> kChunkBits;
   CowChunk* chunk = top_[c];
   if (chunk == nullptr) {
@@ -31,10 +31,10 @@ u8* PhysMem::cow_fault(u32 page, bool keep_bytes) {
   // copy, no fault.
   if (frame == nullptr || frame->refs.load(std::memory_order_acquire) != 1) {
     CowPage* fresh = new CowPage;
-    if (keep_bytes) {
+    if (init == NewFrame::kCopy) {
       std::memcpy(fresh->data, read_[page], kPageSize);
-      ++cow_faults_;
     }
+    if (init != NewFrame::kRestore) ++cow_faults_;
     if (frame == nullptr) {
       ++chunk->resident;
       ++resident_;
@@ -254,7 +254,7 @@ bool PhysMem::restore(SnapshotReader& r) {
     const u32 p = r.get_u32();
     if (p >= pages) return false;
     u8* dst = writable_[p];
-    r.get_bytes(dst ? dst : cow_fault(p, /*keep_bytes=*/false), kPageSize);
+    r.get_bytes(dst ? dst : cow_fault(p, NewFrame::kRestore), kPageSize);
   }
   return true;
 }

@@ -287,7 +287,9 @@ class PhysMem {
   /// calls fill(done, span) for each page-bounded writable span in address
   /// order, `done` being the span's offset from `a`. The fill must write
   /// every byte of its span. Copy-on-write faults and code retirement are
-  /// exactly those of write_block. Caller must check contains().
+  /// exactly those of write_block. A whole-page span that faults gets its
+  /// new frame without a copy of the old bytes, which the fill overwrites.
+  /// Caller must check contains().
   template <typename Fill>
   void fill_block(PAddr a, u32 len, Fill&& fill) {
     if (len == 0) return;
@@ -296,7 +298,13 @@ class PhysMem {
       const PAddr cur = a + done;
       const u32 off = cur & kPageMask;
       const u32 n = std::min(len - done, kPageSize - off);
-      fill(done, std::span<u8>(wpage(cur >> kPageBits) + off, n));
+      const u32 page = cur >> kPageBits;
+      u8* frame = writable_[page];
+      if (frame == nullptr) {
+        frame = cow_fault(page, n == kPageSize ? NewFrame::kOverwrite
+                                               : NewFrame::kCopy);
+      }
+      fill(done, std::span<u8>(frame + off, n));
       done += n;
     }
   }
@@ -411,11 +419,16 @@ class PhysMem {
   }
   /// Raw byte store without code retirement (callers already retired).
   void put8(PAddr a, u8 v) { wpage(a >> kPageBits)[a & kPageMask] = v; }
-  /// Makes `page`'s chunk and frame exclusive, copying each only when it is
-  /// shared (a new frame counts one mem.cow.fault), then enters the page in
-  /// the writable mirror and the dirty list. Without `keep_bytes` a new
-  /// frame is left for the caller to fill and counts no fault.
-  u8* cow_fault(u32 page, bool keep_bytes = true);
+  /// What a new frame from cow_fault starts as. kCopy: the page's old
+  /// bytes (a store). kOverwrite: unfilled, for a caller that writes the
+  /// whole page. Both count one mem.cow.fault. kRestore: unfilled, and no
+  /// fault, for a restore that loads the page from a stream.
+  enum class NewFrame : u8 { kCopy, kOverwrite, kRestore };
+  /// Makes `page`'s chunk and frame exclusive, copying the chunk only when
+  /// it is shared and making a new frame only when the frame is shared or
+  /// absent, then enters the page in the writable mirror and the dirty
+  /// list.
+  u8* cow_fault(u32 page, NewFrame init = NewFrame::kCopy);
   /// Replaces the shared chunk `c` with a private copy that retains the
   /// same frames.
   CowChunk* unshare_chunk(u32 c);

@@ -2,7 +2,12 @@
 // checksum, hex utilities, RNG determinism and unit conversions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <memory>
+#include <optional>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "common/checksum.h"
@@ -125,6 +130,233 @@ TEST(EventQueue, DeadlineObserverSeesEverySchedule) {
   });
   q.run_until(30);
   EXPECT_EQ(seen, (std::vector<Cycles>{50, 10, 20, 25}));
+}
+
+TEST(EventQueue, CancelAfterFireIsANoOp) {
+  EventQueue q;
+  const EventId first = q.schedule_at(10, [](Cycles) {});
+  q.schedule_at(20, [](Cycles) {});
+  EXPECT_EQ(q.run_until(10), 1);
+  EXPECT_FALSE(q.cancel(first));
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_FALSE(q.empty());
+  EXPECT_EQ(q.next_deadline(), std::optional<Cycles>(20));
+  EXPECT_FALSE(q.info(first).has_value());
+  // An event scheduled after the first fired never answers to its id.
+  const EventId third = q.schedule_at(30, [](Cycles) {});
+  EXPECT_NE(third, first);
+  EXPECT_FALSE(q.cancel(first));
+  EXPECT_EQ(q.pending(), 2u);
+  EXPECT_EQ(q.run_until(30), 2);
+  EXPECT_TRUE(q.empty());
+}
+
+// The queue against a plain vector of (deadline, seq, tag) kept sorted:
+// random schedules (fresh, relative and restored with explicit seqs, many
+// sharing a deadline), cancels of live, fired, cancelled and never-issued
+// ids, and runs to random horizons whose callbacks cancel and schedule in
+// turn. After every step the pending set, next deadline, per-id info and
+// firing order must agree with the model.
+TEST(EventQueue, RandomOpsMatchAReferenceModel) {
+  struct Pending {
+    Cycles deadline;
+    u64 seq;
+    int tag;
+    EventId id;
+  };
+  // What an event's callback does when it fires: cancel one issued id,
+  // then schedule one child `child_delay` later.
+  struct Plan {
+    std::optional<std::size_t> victim;  // index into `issued`
+    std::optional<Cycles> child_delay;
+    int child_tag = -1;
+  };
+  struct Fired {
+    int tag;
+    Cycles at;
+    bool operator==(const Fired&) const = default;
+  };
+
+  Rng rng(28);
+  EventQueue q;
+  std::vector<Pending> model;  // sorted by (deadline, seq)
+  u64 model_seq = 0;
+  std::vector<EventId> issued;
+  std::unordered_set<EventId> issued_set;
+  std::vector<Plan> plans;
+  std::vector<EventId> ids_by_tag;  // filled by whoever schedules the tag
+  std::vector<Fired> fired;
+  std::vector<bool> cancel_result;  // recorded by firing callbacks, by tag
+  Cycles now = 0;
+  // Coverage: callbacks that cancelled a live event, children that fired,
+  // children due in the pass that scheduled them.
+  int live_cancels_in_callbacks = 0, children_fired = 0, same_pass = 0;
+
+  const auto model_insert = [&](Pending e) {
+    auto it = std::upper_bound(
+        model.begin(), model.end(), e, [](const Pending& a, const Pending& b) {
+          return a.deadline != b.deadline ? a.deadline < b.deadline
+                                          : a.seq < b.seq;
+        });
+    model.insert(it, e);
+  };
+  const auto model_cancel = [&](EventId id) {
+    for (auto it = model.begin(); it != model.end(); ++it) {
+      if (it->id == id) {
+        model.erase(it);
+        return true;
+      }
+    }
+    return false;
+  };
+  const auto note_issued = [&](int tag, EventId id) {
+    EXPECT_NE(id, 0u);
+    EXPECT_TRUE(issued_set.insert(id).second) << "id reissued: " << id;
+    issued.push_back(id);
+    ids_by_tag[tag] = id;
+  };
+  const auto new_tag = [&](bool may_have_child) {
+    const int tag = static_cast<int>(plans.size());
+    Plan p;
+    // Mostly recent ids, so that many victims are still pending.
+    if (!issued.empty() && rng.chance(0.3)) {
+      p.victim =
+          issued.size() - 1 - rng.below(std::min<u64>(issued.size(), 16));
+    }
+    plans.push_back(p);
+    ids_by_tag.push_back(0);
+    cancel_result.push_back(false);
+    if (may_have_child && rng.chance(0.3)) {
+      plans[tag].child_delay = rng.below(4) == 0 ? 0 : rng.between(1, 40);
+      plans[tag].child_tag = static_cast<int>(plans.size());
+      plans.push_back(Plan{});
+      ids_by_tag.push_back(0);
+      cancel_result.push_back(false);
+      if (rng.chance(0.3)) plans.back().victim = rng.below(issued.size() + 1);
+    }
+    return tag;
+  };
+  // The real callback; tags, plans and the victim list are fixed before
+  // any callback runs, so the model can replay the same actions.
+  std::function<EventQueue::Callback(int)> callback = [&](int tag) {
+    return [&, tag](Cycles at) {
+      fired.push_back({tag, at});
+      const Plan p = plans[tag];
+      if (p.victim) cancel_result[tag] = q.cancel(issued[*p.victim]);
+      if (p.child_delay) {
+        const EventId id =
+            q.schedule_at(at + *p.child_delay, callback(p.child_tag));
+        note_issued(p.child_tag, id);
+      }
+    };
+  };
+  // The model's run_until: the same firing order and the same actions.
+  const auto model_run = [&](Cycles horizon) {
+    std::vector<Fired> expected;
+    while (!model.empty() && model.front().deadline <= horizon) {
+      const Pending e = model.front();
+      model.erase(model.begin());
+      expected.push_back({e.tag, e.deadline});
+      const Plan& p = plans[e.tag];
+      if (p.victim) {
+        const bool live = model_cancel(issued[*p.victim]);
+        EXPECT_EQ(cancel_result[e.tag], live) << "tag " << e.tag;
+        live_cancels_in_callbacks += live;
+      }
+      if (plans[e.tag].child_tag < 0 && e.tag > 0 &&
+          plans[e.tag - 1].child_tag == e.tag) {
+        ++children_fired;
+      }
+      if (p.child_delay) {
+        same_pass += e.deadline + *p.child_delay <= horizon;
+        model_insert({e.deadline + *p.child_delay, model_seq++, p.child_tag,
+                      ids_by_tag[p.child_tag]});
+      }
+    }
+    return expected;
+  };
+  const auto check = [&](int step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    ASSERT_EQ(q.pending(), model.size());
+    ASSERT_EQ(q.empty(), model.empty());
+    ASSERT_EQ(q.next_seq(), model_seq);
+    if (model.empty()) {
+      ASSERT_FALSE(q.next_deadline().has_value());
+    } else {
+      ASSERT_EQ(q.next_deadline(),
+                std::optional<Cycles>(model.front().deadline));
+    }
+    std::unordered_set<EventId> live;
+    for (const Pending& e : model) {
+      live.insert(e.id);
+      const auto info = q.info(e.id);
+      ASSERT_TRUE(info.has_value()) << "tag " << e.tag;
+      ASSERT_EQ(info->deadline, e.deadline);
+      ASSERT_EQ(info->seq, e.seq);
+    }
+    for (EventId id : issued) {
+      if (!live.count(id)) {
+        ASSERT_FALSE(q.info(id).has_value()) << id;
+      }
+    }
+  };
+
+  for (int step = 0; step < 3000; ++step) {
+    const u64 op = rng.below(100);
+    if (op < 45) {
+      // A fresh event; deadlines cluster so many share one.
+      const int tag = new_tag(/*may_have_child=*/true);
+      const Cycles delay = rng.below(24);
+      const EventId id = rng.chance(0.5)
+                             ? q.schedule_at(now + delay, callback(tag))
+                             : q.schedule_in(now, delay, callback(tag));
+      model_insert({now + delay, model_seq++, tag, id});
+      note_issued(tag, id);
+    } else if (op < 55) {
+      // A restored event at an explicit seq, below or past the counter,
+      // never equal in (deadline, seq) to a pending one.
+      const Cycles deadline = now + rng.below(24);
+      u64 seq = rng.below(model_seq + 16);
+      while (std::any_of(model.begin(), model.end(), [&](const Pending& e) {
+        return e.deadline == deadline && e.seq == seq;
+      })) {
+        ++seq;
+      }
+      const int tag = new_tag(/*may_have_child=*/true);
+      const EventId id = q.schedule_restored(deadline, seq, callback(tag));
+      model_insert({deadline, seq, tag, id});
+      if (model_seq <= seq) model_seq = seq + 1;
+      note_issued(tag, id);
+    } else if (op < 75) {
+      // Cancel a live, dead (fired or cancelled) or never-issued id.
+      EventId id = 0;
+      const u64 kind = rng.below(3);
+      if (kind == 0 && !model.empty()) {
+        id = model[rng.below(model.size())].id;
+      } else if (kind == 1 && !issued.empty()) {
+        id = issued[rng.below(issued.size())];
+      } else if (rng.chance(0.5)) {
+        do {
+          id = rng.next_u64();
+        } while (issued_set.count(id));
+      }
+      EXPECT_EQ(q.cancel(id), model_cancel(id)) << "step " << step;
+    } else {
+      const Cycles horizon = now + rng.below(40);
+      fired.clear();
+      const int n = q.run_until(horizon);
+      const std::vector<Fired> expected = model_run(horizon);
+      ASSERT_EQ(fired, expected) << "step " << step;
+      ASSERT_EQ(n, static_cast<int>(expected.size()));
+      now = horizon;
+    }
+    check(step);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(issued.size(), 1000u);
+  EXPECT_GT(live_cancels_in_callbacks, 10);
+  EXPECT_GT(children_fired, 50);
+  EXPECT_GT(same_pass, 20);
 }
 
 // ----------------------------------------------------------------- stats --

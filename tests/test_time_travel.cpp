@@ -4,6 +4,7 @@
 // at the controller level and end-to-end over the RSP wire.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <string>
 #include <vector>
@@ -75,6 +76,38 @@ TEST(Snapshot, Crc32MatchesTheBitwiseDefinition) {
               crc32(buf.data(), buf.size()))
         << "split " << split;
     EXPECT_EQ(head, crc32_bitwise(buf.data(), split));
+  }
+
+  // The three-lane path: lengths at and around one and two rounds of three
+  // lanes, and the capture stream's length, at every offset; then chains
+  // split inside each lane of both rounds.
+  constexpr std::size_t kRound = 3 * kCrc32LaneBytes;
+  constexpr std::size_t kCaptureStream = 13'206;
+  std::vector<std::size_t> lengths = {2 * kRound - 9, 2 * kRound + 9,
+                                      kCaptureStream};
+  for (std::size_t len = kRound - 9; len <= kRound + 9; ++len) {
+    lengths.push_back(len);
+  }
+  std::vector<u8> big(8 + *std::max_element(lengths.begin(), lengths.end()));
+  for (u8& b : big) b = static_cast<u8>(rng.next_u32());
+  for (std::size_t len : lengths) {
+    for (std::size_t off = 0; off < 8; ++off) {
+      EXPECT_EQ(crc32(big.data() + off, len),
+                crc32_bitwise(big.data() + off, len))
+          << "offset " << off << " length " << len;
+    }
+  }
+  const std::size_t whole = 2 * kRound + 9;
+  const u32 one_shot = crc32_bitwise(big.data(), whole);
+  for (std::size_t lane = 0; lane < 6; ++lane) {
+    for (std::size_t split : {lane * kCrc32LaneBytes + 1,
+                              lane * kCrc32LaneBytes + kCrc32LaneBytes / 2 + 3,
+                              (lane + 1) * kCrc32LaneBytes - 1}) {
+      const u32 head = crc32(big.data(), split);
+      EXPECT_EQ(head, crc32_bitwise(big.data(), split)) << "split " << split;
+      EXPECT_EQ(crc32(big.data() + split, whole - split, head), one_shot)
+          << "split " << split;
+    }
   }
 }
 
